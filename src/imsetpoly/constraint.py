@@ -13,10 +13,13 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
+from .exactlin import _rational_inverse, _row_rank
 from .setfam import (
     Antichain,
     GroundSet,
     SetClass,
+    _integer_entries,
+    _rational_entries,
     bits_of,
     enumerate_antichains,
     eta_pairs,
@@ -461,44 +464,6 @@ def _normalize_int_vector(vec: Sequence) -> tuple[int, ...]:
     return tuple(ints)
 
 
-def _rational_inverse(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    d = len(rows)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(k == r)) for k in range(d)]
-           for r, row in enumerate(rows)]
-    for col in range(d):
-        pivot = next((r for r in range(col, d) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(d):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[d:] for row in aug]
-
-
-def _row_rank(rows: list[tuple]) -> int:
-    work = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    cols = len(work[0]) if work else 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(work)) if work[r][col] != 0), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        pv = work[rank][col]
-        for r in range(len(work)):
-            if r != rank and work[r][col] != 0:
-                f = work[r][col] / pv
-                work[r] = [x - f * y for x, y in zip(work[r], work[rank])]
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
-
-
 def double_description(rows: list[tuple[int, ...]], dim: int) -> list[tuple[int, ...]]:
     """Extreme rays of the pointed cone {x : r.x >= 0 for every row r}.
 
@@ -640,13 +605,19 @@ def load_ray_file(ground: GroundSet, path) -> list[SupermodularFunction]:
     if not isinstance(data, list):
         raise ValueError("ray file must contain a JSON list of ray records")
     rays = []
+    first_record: dict[tuple, int] = {}
     for k, record in enumerate(data):
         if not isinstance(record, dict) or "entries" not in record:
             raise ValueError(f"ray record {k} is missing its 'entries' table")
         values = [0] * (1 << ground.n)
-        for key, v in record["entries"].items():
-            values[ground.parse_subset(key)] = int(v)
+        for key, v in _integer_entries(record["entries"]):
+            values[ground.parse_subset(key)] = v
         ray = SupermodularFunction(ground, _normalize_int_vector(values))
+        if not any(ray.values):
+            raise ValueError(f"ray record {k} is zero")
+        j = first_record.setdefault(ray.values, k)
+        if j != k:
+            raise ValueError(f"ray record {k} repeats record {j} up to scaling")
         if not ray.is_standardized():
             raise ValueError(f"ray record {k} is not standardized")
         if not is_supermodular(ray):
@@ -704,11 +675,11 @@ class DualVector:
         except (KeyError, TypeError):
             raise ValueError("dual vector JSON needs 'labels' and 'entries'") from None
         values = [Fraction(0)] * (1 << ground.n)
-        for key, v in entries.items():
+        for key, v in _rational_entries(entries):
             mask = ground.parse_subset(key)
             if mask == 0:
                 raise ValueError("dual vectors carry no entry at the empty set")
-            values[mask] = Fraction(v)
+            values[mask] = v
         return cls(ground, tuple(values))
 
 

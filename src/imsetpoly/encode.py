@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from .digraph import DirectedGraph, is_acyclic, super_terminal_count
 from .setfam import (
     GroundSet,
+    _integer_entries,
     bits_of,
     eta_pairs,
     p2_index,
@@ -325,24 +326,24 @@ def imset_from_json_dict(data: dict):
         raise ValueError("imset JSON needs 'labels', 'kind' and 'entries'") from None
     if kind == "eta":
         values = [0] * (ground.n * (1 << (ground.n - 1)))
-        for key, v in entries.items():
+        for key, v in _integer_entries(entries):
             i, b = ground.parse_pair(key)
-            values[pair_index(ground, i, b)] = int(v)
+            values[pair_index(ground, i, b)] = v
         return EtaVector(ground, tuple(values))
     if kind == "standard":
         values = [0] * (1 << ground.n)
-        for key, v in entries.items():
-            values[ground.parse_subset(key)] = int(v)
+        for key, v in _integer_entries(entries):
+            values[ground.parse_subset(key)] = v
         return StandardImset(ground, tuple(values))
     if kind == "characteristic":
         values = [0] * len(p2_masks(ground))
         index = p2_index(ground)
-        for key, v in entries.items():
+        for key, v in _integer_entries(entries):
             mask = ground.parse_subset(key)
             if mask.bit_count() < 2:
                 raise ValueError(
                     "characteristic imset entries need subsets with >= 2 members"
                 )
-            values[index[mask]] = int(v)
+            values[index[mask]] = v
         return CharacteristicImset(ground, tuple(values))
     raise ValueError(f"unknown imset kind {kind!r}")

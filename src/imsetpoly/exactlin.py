@@ -135,6 +135,46 @@ def det_bareiss(a: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def _rational_inverse(rows: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Inverse of a square rational matrix by Gauss-Jordan elimination."""
+    d = len(rows)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(k == r)) for k in range(d)]
+           for r, row in enumerate(rows)]
+    for col in range(d):
+        pivot = next((r for r in range(col, d) if aug[r][col] != 0), None)
+        if pivot is None:
+            raise ValueError("matrix is singular")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        pv = aug[col][col]
+        aug[col] = [x / pv for x in aug[col]]
+        for r in range(d):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return [row[d:] for row in aug]
+
+
+def _row_rank(rows: list[tuple]) -> int:
+    """Rank over the rationals of a list of equal-length rows."""
+    work = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    cols = len(work[0]) if work else 0
+    for col in range(cols):
+        pivot = next((r for r in range(rank, len(work)) if work[r][col] != 0), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        pv = work[rank][col]
+        for r in range(len(work)):
+            if r != rank and work[r][col] != 0:
+                f = work[r][col] / pv
+                work[r] = [x - f * y for x, y in zip(work[r], work[rank])]
+        rank += 1
+        if rank == len(work):
+            break
+    return rank
+
+
 # ---------------------------------------------------------------------------
 # matrix builders
 

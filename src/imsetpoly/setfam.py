@@ -8,6 +8,7 @@ bitmask value, which keeps deduplication and array indexing canonical.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -54,6 +55,11 @@ class GroundSet:
 
     @classmethod
     def of_size(cls, n: int) -> "GroundSet":
+        """The ground set labelled a, b, c, ... with n members."""
+        if not 2 <= n <= MAX_GROUND:
+            raise ValueError(
+                f"ground set needs between 2 and {MAX_GROUND} variables, got {n}"
+            )
         return cls(tuple("abcdef")[:n])
 
     @property
@@ -126,6 +132,30 @@ class GroundSet:
         if mask == 0:
             return EMPTY_KEY
         return "".join(self.labels[i] for i in bits_of(mask))
+
+
+def _rational_entries(entries):
+    """The (key, value) pairs of a JSON entry table, each value read as an
+    exact rational (a JSON number or a string such as "-3/2")."""
+    if not isinstance(entries, dict):
+        raise ValueError("'entries' must be a JSON object mapping keys to values")
+    for key, value in entries.items():
+        try:
+            number = Fraction(value)
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+            raise ValueError(
+                f"entry {key!r} is not a rational number: {value!r}"
+            ) from None
+        yield key, number
+
+
+def _integer_entries(entries):
+    """Like _rational_entries, but a value that is not an integer is refused
+    rather than truncated."""
+    for key, value in _rational_entries(entries):
+        if value.denominator != 1:
+            raise ValueError(f"entry {key!r} must be an integer, got {entries[key]!r}")
+        yield key, int(value)
 
 
 @lru_cache(maxsize=None)

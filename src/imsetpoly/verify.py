@@ -44,8 +44,8 @@ from .encode import (
     quasi_characteristic_of,
     standard_imset_of,
     superset_moebius,
-    u_from_eta,
 )
+from .exactlin import _row_rank
 from .setfam import (
     Antichain,
     GroundSet,
@@ -214,27 +214,35 @@ def _as_int(x):
     return int(x) if isinstance(x, Fraction) and x.denominator == 1 else x
 
 
-def _compile_u_rows(system: ConstraintSystem):
-    rows = []
-    for row in system.rows:
-        terms = tuple(
-            sorted((mask, _as_int(coeff)) for mask, coeff in row.coeffs.items())
-        )
-        rows.append((terms, row.sense, _as_int(row.rhs), row.tag))
-    rows.sort(key=lambda r: len(r[0]))
-    return rows
+def _compile_rows(system: ConstraintSystem):
+    """Compile the rows of a 'u' or 'c' system to (terms, sense, rhs, tag)
+    tuples over characteristic coordinates, terms being (index, coefficient)
+    pairs into the ascending list of subsets with >= 2 members.
 
-
-def _compile_c_rows(system: ConstraintSystem):
+    A 'u' row a.u <sense> r is pulled back through the exact map
+    u = Moebius(1 - c on those subsets): with b the subset-Moebius transform
+    of a, it reads  sum of -b(S) c(S)  <sense>  r - sum of b(S),  S ranging
+    over the subsets with >= 2 members.  Rows keep the stable order of their
+    own support sizes, so the first violated row at a point is the same in
+    either framework.
+    """
     ground = system.ground
-    index = {m: k for k, m in enumerate(p2_masks(ground))}
+    n = ground.n
+    masks = p2_masks(ground)
     rows = []
-    for row in system.rows:
-        terms = tuple(
-            sorted((index[mask], _as_int(coeff)) for mask, coeff in row.coeffs.items())
-        )
-        rows.append((terms, row.sense, _as_int(row.rhs), row.tag))
-    rows.sort(key=lambda r: len(r[0]))
+    for row in sorted(system.rows, key=lambda r: len(r.coeffs)):
+        rhs = _as_int(row.rhs)
+        if system.framework == "c":
+            coeffs = [_as_int(row.coeffs.get(m, 0)) for m in masks]
+        else:
+            a = [0] * (1 << n)
+            for mask, coeff in row.coeffs.items():
+                a[mask] = _as_int(coeff)
+            b = superset_moebius(a[::-1], n)[::-1]
+            coeffs = [-b[m] for m in masks]
+            rhs += sum(coeffs)
+        terms = tuple((k, v) for k, v in enumerate(coeffs) if v)
+        rows.append((terms, row.sense, rhs, row.tag))
     return rows
 
 
@@ -254,13 +262,6 @@ def _first_violation(compiled, vector):
     return None
 
 
-def _u_dense_from_c_point(ground: GroundSet, point) -> list[int]:
-    p = [0] * (1 << ground.n)
-    for mask, v in zip(p2_masks(ground), point):
-        p[mask] = 1 - v
-    return superset_moebius(p, ground.n)
-
-
 # ---------------------------------------------------------------------------
 # lattice scans
 
@@ -277,10 +278,11 @@ def lattice_scan(
     """Enumerate integer characteristic points of the box and keep those
     satisfying every requested row.
 
-    Points are generated in characteristic coordinates; for the 'u' framework
-    each point is pushed through the inverse characteristic transform first
-    (which makes it satisfy the standardization equalities by construction).
-    The scan passes when the satisfying set equals the census set.
+    Points are generated in characteristic coordinates, and 'u' rows are
+    pulled back to them at compile time, so every point stands for the
+    standard imset u = Moebius(1 - c), which satisfies the standardization
+    equalities by construction.  The scan passes when the satisfying set
+    equals the census set.
     """
     t0 = time.perf_counter()
     if framework not in ("u", "c"):
@@ -293,19 +295,8 @@ def lattice_scan(
         )
     system = assemble_system(ground, framework, families, rays=rays)
     census = census_characteristic_set(ground)
-    satisfying: list[tuple[int, ...]] = []
-    if framework == "c":
-        compiled = _compile_c_rows(system)
-        for point in box.points():
-            if _first_violation(compiled, point) is None:
-                satisfying.append(point)
-    else:
-        compiled = _compile_u_rows(system)
-        for point in box.points():
-            u = _u_dense_from_c_point(ground, point)
-            if _first_violation(compiled, u) is None:
-                satisfying.append(point)
-    sat_set = set(satisfying)
+    compiled = _compile_rows(system)
+    sat_set = {p for p in box.points() if _first_violation(compiled, p) is None}
     extra = sorted(sat_set - census)
     missing = sorted(census - sat_set)
     witnesses = [
@@ -370,12 +361,11 @@ def soundness_check(
     if rays is not None:
         rows.extend(nonspecific_constraints(ground, rays).rows)
     system = ConstraintSystem(ground, "u", tuple(rows))
-    compiled = _compile_u_rows(system)
+    compiled = _compile_rows(system)
     witnesses = []
     checked = 0
     for point in sorted(census_characteristic_set(ground)):
-        u = _u_dense_from_c_point(ground, point)
-        tag = _first_violation(compiled, u)
+        tag = _first_violation(compiled, point)
         checked += 1
         if tag is not None:
             witnesses.append({"kind": "row_violated", "row": tag, "point": list(point)})
@@ -542,26 +532,6 @@ def _expand_facets_n3():
     return sorted(rows)
 
 
-def _rank_rational(rows: list[tuple]) -> int:
-    work = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    cols = len(work[0]) if work else 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(work)) if work[r][col] != 0), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        pv = work[rank][col]
-        for r in range(len(work)):
-            if r != rank and work[r][col] != 0:
-                f = work[r][col] / pv
-                work[r] = [x - f * y for x, y in zip(work[r], work[rank])]
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
-
-
 def example5_image_check(ground: GroundSet | None = None) -> VerificationReport:
     """Check the image of all 64 digraph codes under the characteristic
     transform at n = 3 against the reference vertex and facet lists.
@@ -612,13 +582,13 @@ def example5_image_check(ground: GroundSet | None = None) -> VerificationReport:
             for coeffs, const in rows
             if const + sum(a * b for a, b in zip(coeffs, vertex)) == 0
         ]
-        if _rank_rational(tight) != 4:
+        if _row_rank(tight) != 4:
             ok_vertices = False
             witnesses.append(
                 {
                     "kind": "vertex_tight_rank_not_full",
                     "point": list(vertex),
-                    "rank": _rank_rational(tight),
+                    "rank": _row_rank(tight),
                 }
             )
     midpoint = tuple(

@@ -449,7 +449,8 @@ def test_computed_rays_n4_certified_extreme():
     rays = supermodular_rays(G4, "computed")
     assert len(rays) == 37
     assert len({r.values for r in rays}) == 37
-    from imsetpoly.constraint import _exchange_rows_p2, _row_rank
+    from imsetpoly.constraint import _exchange_rows_p2
+    from imsetpoly.exactlin import _row_rank
 
     rows = _exchange_rows_p2(G4)
     dim = len(p2_masks(G4))
@@ -509,6 +510,11 @@ def test_ray_file_round_trip(tmp_path):
     path4.write_text(json.dumps(notsuper), encoding="utf-8")
     with pytest.raises(ValueError, match="supermodular"):
         load_ray_file(G3, path4)
+    fractional = [{"entries": {"a,b": 1.7, "a,b,c": 1}}]
+    path5 = tmp_path / "fractional.json"
+    path5.write_text(json.dumps(fractional), encoding="utf-8")
+    with pytest.raises(ValueError, match="must be an integer"):
+        load_ray_file(G3, path5)
 
 
 def test_nonspecific_rows():

@@ -69,6 +69,10 @@ def test_ground_set_validation():
     g = GroundSet.of_size(4)
     assert g.labels == ("a", "b", "c", "d")
     assert g.n == 4 and g.full_mask == 15
+    # sizes outside 2..6 are refused, not truncated to the six labels
+    for n in (-1, 0, 1, 7, 8):
+        with pytest.raises(ValueError, match=f"got {n}"):
+            GroundSet.of_size(n)
 
 
 def test_subset_key_round_trip():

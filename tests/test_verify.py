@@ -154,6 +154,41 @@ def test_scan_rejects_unknown_framework():
         lattice_scan(G3, "eta", ("equality",), EnumerationBox.zero_one(G3))
 
 
+def test_u_rows_pulled_back_match_the_c_rows():
+    # the compiler maps u rows to c coordinates through u = Moebius(1 - c);
+    # the c families are built by the kappa recursion, an independent route
+    from imsetpoly.constraint import (
+        ConstraintSystem,
+        char_specific_constraint,
+        cluster_constraint_c,
+        cluster_constraint_u,
+        specific_constraint,
+        u_equality_system,
+    )
+    from imsetpoly.setfam import enumerate_antichains, p2_masks
+    from imsetpoly.verify import _compile_rows
+
+    def compiled(ground, row):
+        return _compile_rows(ConstraintSystem(ground, row.framework, (row,)))[0]
+
+    for ground, antichains, clusters in ((G3, 18, 4), (G4, 166, 11), (G5, 7579, 26)):
+        specific = list(enumerate_antichains(ground))
+        assert len(specific) == antichains and len(p2_masks(ground)) == clusters
+        for antichain in specific:
+            # a.u <= 1 pulls back to the kappa row a'.c >= r' times -1
+            u_row = specific_constraint(antichain)
+            c_row = char_specific_constraint(antichain)
+            terms, sense, rhs, _ = compiled(ground, u_row)
+            c_terms, c_sense, c_rhs, _ = compiled(ground, c_row)
+            assert (sense, c_sense) == ("<=", ">=")
+            assert terms == tuple((k, -v) for k, v in c_terms) and rhs == -c_rhs
+        for c in p2_masks(ground):
+            u_row = compiled(ground, cluster_constraint_u(ground, c))
+            assert u_row[:3] == compiled(ground, cluster_constraint_c(ground, c))[:3]
+        for row in u_equality_system(ground):
+            assert compiled(ground, row)[:3] == ((), "=", 0)
+
+
 def test_scan_report_is_deterministic():
     box = EnumerationBox.zero_one(G3)
     first = lattice_scan(G3, "u", U_DEFAULT, box)
