@@ -8,16 +8,17 @@ floating point enters any verification path.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .exactlin import _rational_inverse, _row_rank
 from .setfam import (
     Antichain,
     GroundSet,
     SetClass,
+    _ground_from_labels,
     _integer_entries,
     _rational_entries,
     bits_of,
@@ -670,10 +671,11 @@ class DualVector:
     @classmethod
     def from_json_dict(cls, data: dict) -> "DualVector":
         try:
-            ground = GroundSet(tuple(data["labels"]))
+            labels = data["labels"]
             entries = data["entries"]
         except (KeyError, TypeError):
             raise ValueError("dual vector JSON needs 'labels' and 'entries'") from None
+        ground = _ground_from_labels(labels)
         values = [Fraction(0)] * (1 << ground.n)
         for key, v in _rational_entries(entries):
             mask = ground.parse_subset(key)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .setfam import GroundSet, bits_of
+from .setfam import GroundSet, _ground_from_labels, bits_of
 
 
 @dataclass(frozen=True)
@@ -56,11 +56,18 @@ class DirectedGraph:
     @classmethod
     def from_json_dict(cls, data: dict) -> "DirectedGraph":
         try:
-            labels = tuple(data["labels"])
-            edges = [(str(t), str(h)) for t, h in data["edges"]]
-        except (KeyError, TypeError, ValueError):
+            labels = data["labels"]
+            edges = data["edges"]
+        except (KeyError, TypeError):
             raise ValueError("graph JSON needs 'labels' and 'edges' entries") from None
-        return cls.from_edges(GroundSet(labels), edges)
+        ground = _ground_from_labels(labels)
+        # a two-letter string is not an edge, and a number is not a label
+        if not isinstance(edges, list) or not all(
+            isinstance(e, list) and len(e) == 2 and all(isinstance(x, str) for x in e)
+            for e in edges
+        ):
+            raise ValueError("'edges' must be a JSON array of [tail, head] label pairs")
+        return cls.from_edges(ground, [tuple(e) for e in edges])
 
 
 def is_acyclic(g: DirectedGraph) -> bool:

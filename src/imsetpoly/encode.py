@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from .digraph import DirectedGraph, is_acyclic, super_terminal_count
 from .setfam import (
     GroundSet,
+    _ground_from_labels,
     _integer_entries,
     bits_of,
     eta_pairs,
@@ -319,11 +320,12 @@ def imset_from_json_dict(data: dict):
     """Rebuild an EtaVector, StandardImset, or CharacteristicImset from its
     JSON dict form (zero entries omitted)."""
     try:
-        ground = GroundSet(tuple(data["labels"]))
+        labels = data["labels"]
         kind = data["kind"]
         entries = data["entries"]
     except (KeyError, TypeError):
         raise ValueError("imset JSON needs 'labels', 'kind' and 'entries'") from None
+    ground = _ground_from_labels(labels)
     if kind == "eta":
         values = [0] * (ground.n * (1 << (ground.n - 1)))
         for key, v in _integer_entries(entries):

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterator
 
 MAX_GROUND = 6
 
@@ -132,6 +132,14 @@ class GroundSet:
         if mask == 0:
             return EMPTY_KEY
         return "".join(self.labels[i] for i in bits_of(mask))
+
+
+def _ground_from_labels(labels) -> GroundSet:
+    """The ground set named by a JSON 'labels' value, which must be an array
+    of strings: a bare string is refused, not read one label per character."""
+    if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+        raise ValueError("'labels' must be a JSON array of strings")
+    return GroundSet(tuple(labels))
 
 
 def _rational_entries(entries):

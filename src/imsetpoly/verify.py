@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import lcm
 
 from .constraint import (
     ConstraintSystem,
@@ -262,6 +263,111 @@ def _first_violation(compiled, vector):
     return None
 
 
+def _split_vacuous(compiled):
+    """Split off the rows with no terms (u equalities pull back to 0 = 0):
+    returns the remaining rows and whether every term-free row holds, which
+    is the same verdict at every point."""
+    rows = [row for row in compiled if row[0]]
+    holds = all(_row_holds(*row[:3], ()) for row in compiled if not row[0])
+    return rows, holds
+
+
+def _lanes(terms, sense, rhs):
+    """The row as lanes (a, r) with integer a and r, each reading
+    sum of a[k] c_k - r >= 0: a '<=' row is negated, an equality gives both
+    halves, and a row with rational coefficients is scaled to integers."""
+    scale = lcm(Fraction(rhs).denominator, *(Fraction(v).denominator for _, v in terms))
+    a = {k: int(v * scale) for k, v in terms}
+    r = int(rhs * scale)
+    lanes = []
+    if sense != "<=":
+        lanes.append((a, r))
+    if sense != ">=":
+        lanes.append(({k: -v for k, v in a.items()}, -r))
+    return lanes
+
+
+def _pack(values, width: int) -> int:
+    """One int holding values[i] in bits [i * width, (i + 1) * width); a
+    negative value borrows from the lanes above it."""
+    nbytes = width // 8
+    pos = b"".join(max(v, 0).to_bytes(nbytes, "little") for v in values)
+    neg = b"".join(max(-v, 0).to_bytes(nbytes, "little") for v in values)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def _pack_lanes(lanes, reach):
+    """Pack lanes so that one big-int sum checks all of them.
+
+    Returns (const, coeffs, high).  At a point x with |x[k]| <= reach[k],
+    the int  total = const + sum of coeffs[k] * x[k]  holds, in its w-bit
+    lane i, the value  sum of a[k] x[k] - r + 2^(w-1).  The width w keeps
+    that value inside [0, 2^w), so the borrows of negative coefficients are
+    all paid back and the lanes read exactly: lane i holds when its high bit
+    is set, and every lane holds when total & high == high.
+    """
+    bound = max(
+        (sum(abs(v) * reach[k] for k, v in a.items()) + abs(r) for a, r in lanes),
+        default=0,
+    )
+    width = 8 * ((bound.bit_length() + 8) // 8)
+    bias = 1 << (width - 1)
+    coords = sorted({k for a, _ in lanes for k in a})
+    coeffs = {k: _pack([a.get(k, 0) for a, _ in lanes], width) for k in coords}
+    const = _pack([bias - r for _, r in lanes], width)
+    high = _pack([bias] * len(lanes), width)
+    return const, coeffs, high
+
+
+def _satisfying_points(compiled, box: EnumerationBox) -> set[tuple[int, ...]]:
+    """The box points satisfying every compiled row, by depth-first search.
+
+    Coordinates are fixed in the order (|S|, mask), and each row is attached
+    at the depth of its last coordinate in that order.  A node checks only
+    its attached rows, all at once on their packed lanes, for each value of
+    its coordinate; a value that fails a row is pruned with its whole
+    subtree.  Term-free rows are decided once, before the search.
+    """
+    rows, vacuous_hold = _split_vacuous(compiled)
+    if not vacuous_hold:
+        return set()
+    masks = p2_masks(box.ground)
+    order = sorted(range(len(masks)), key=lambda k: (masks[k].bit_count(), masks[k]))
+    depth_of = {k: d for d, k in enumerate(order)}
+    reach = [max(-lo, hi) for lo, hi in zip(box.lower, box.upper)]
+    attached = [[] for _ in order]
+    for terms, sense, rhs, _tag in rows:
+        attached[max(depth_of[k] for k, _ in terms)].extend(_lanes(terms, sense, rhs))
+    # per depth: coordinate, its range, packed earlier coordinates, packed own
+    # coefficients, constant and high bits
+    plan = []
+    for d, lanes in enumerate(attached):
+        k = order[d]
+        const, coeffs, high = _pack_lanes(lanes, reach)
+        own = coeffs.pop(k, 0)
+        plan.append((k, box.lower[k], box.upper[k], coeffs.items(), own, const, high))
+    point = [0] * len(masks)
+    found: set[tuple[int, ...]] = set()
+    leaf = len(order) - 1
+
+    def visit(d: int) -> None:
+        k, lo, hi, earlier, own, total, high = plan[d]
+        for j, packed in earlier:
+            total += point[j] * packed
+        total += lo * own
+        for v in range(lo, hi + 1):
+            if total & high == high:
+                point[k] = v
+                if d == leaf:
+                    found.add(tuple(point))
+                else:
+                    visit(d + 1)
+            total += own
+
+    visit(0)
+    return found
+
+
 # ---------------------------------------------------------------------------
 # lattice scans
 
@@ -275,14 +381,15 @@ def lattice_scan(
     budget: int = SCAN_BUDGET,
     long_run: bool = False,
 ) -> VerificationReport:
-    """Enumerate integer characteristic points of the box and keep those
-    satisfying every requested row.
+    """Find the integer characteristic points of the box satisfying every
+    requested row, by a pruned depth-first search (_satisfying_points).
 
-    Points are generated in characteristic coordinates, and 'u' rows are
-    pulled back to them at compile time, so every point stands for the
-    standard imset u = Moebius(1 - c), which satisfies the standardization
-    equalities by construction.  The scan passes when the satisfying set
-    equals the census set.
+    Points are built in characteristic coordinates, and 'u' rows are pulled
+    back to them at compile time, so every point stands for the standard
+    imset u = Moebius(1 - c), which satisfies the standardization equalities
+    by construction.  The budget bounds the box volume, not the nodes the
+    search visits.  The scan passes when the satisfying set equals the
+    census set.
     """
     t0 = time.perf_counter()
     if framework not in ("u", "c"):
@@ -296,7 +403,7 @@ def lattice_scan(
     system = assemble_system(ground, framework, families, rays=rays)
     census = census_characteristic_set(ground)
     compiled = _compile_rows(system)
-    sat_set = {p for p in box.points() if _first_violation(compiled, p) is None}
+    sat_set = _satisfying_points(compiled, box)
     extra = sorted(sat_set - census)
     missing = sorted(census - sat_set)
     witnesses = [
@@ -362,15 +469,26 @@ def soundness_check(
         rows.extend(nonspecific_constraints(ground, rays).rows)
     system = ConstraintSystem(ground, "u", tuple(rows))
     compiled = _compile_rows(system)
+    live, vacuous_hold = _split_vacuous(compiled)
+    if vacuous_hold:
+        # rows that hold everywhere can be the first violated row nowhere
+        compiled = live
+    points = sorted(census_characteristic_set(ground))
+    reach = [max(abs(x) for x in column) for column in zip(*points)]
+    lanes = [lane for row in compiled for lane in _lanes(*row[:3])]
+    const, coeffs, high = _pack_lanes(lanes, reach)
     witnesses = []
     checked = 0
-    for point in sorted(census_characteristic_set(ground)):
-        tag = _first_violation(compiled, point)
+    for point in points:
         checked += 1
-        if tag is not None:
-            witnesses.append({"kind": "row_violated", "row": tag, "point": list(point)})
-            if len(witnesses) >= 16:
-                break
+        total = const + sum(point[k] * packed for k, packed in coeffs.items())
+        if total & high == high:
+            continue
+        # some row fails: name the first one in row order
+        tag = _first_violation(compiled, point)
+        witnesses.append({"kind": "row_violated", "row": tag, "point": list(point)})
+        if len(witnesses) >= 16:
+            break
     report = VerificationReport(
         experiment="census-soundness",
         parameters={

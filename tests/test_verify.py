@@ -1,7 +1,10 @@
 """Census, lattice scans, soundness and relaxation experiments, and the
 bundled reference checks."""
 
+import itertools
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -124,6 +127,14 @@ def test_c_scan_default_box():
     assert report.counts["satisfying"] == 11
 
 
+def test_c_scan_zero_one_box_n5():
+    # 2^26 box points; the pruned search finds exactly the 8 782 structures
+    report = lattice_scan(G5, "c", C_DEFAULT, EnumerationBox.zero_one(G5))
+    assert report.passed
+    assert report.counts["box_points"] == 2**26
+    assert report.counts["satisfying"] == 8782
+
+
 def test_c_scan_needs_cluster_rows_too():
     # the translated rows alone admit extra points, e.g. the directed cycle
     # pattern [1, 1, 1, 0]; the cluster rows cut them off
@@ -189,6 +200,90 @@ def test_u_rows_pulled_back_match_the_c_rows():
             assert compiled(ground, row)[:3] == ((), "=", 0)
 
 
+def _brute_force_points(ground, framework, families, box):
+    # the box walk the search replaces: every point, every row
+    from imsetpoly.constraint import assemble_system
+    from imsetpoly.verify import _compile_rows, _first_violation
+
+    compiled = _compile_rows(assemble_system(ground, framework, families))
+    return [list(p) for p in box.points() if _first_violation(compiled, p) is None]
+
+
+def _family_subsets(families):
+    return [
+        sub
+        for k in range(1, len(families) + 1)
+        for sub in itertools.combinations(families, k)
+    ]
+
+
+def _search_cases():
+    both_boxes = (EnumerationBox.zero_one, EnumerationBox.default)
+    for framework, families in (("u", U_ALL), ("c", C_DEFAULT)):
+        for sub in _family_subsets(families):
+            for box in both_boxes:
+                yield G3, framework, sub, box
+    for sub in _family_subsets(C_DEFAULT):
+        for box in both_boxes:
+            yield G4, "c", sub, box
+    u_sets = (("equality", "specific"), ("equality", "specific", "cluster-u"))
+    for sub in u_sets + (U_DEFAULT, U_ALL):
+        yield G4, "u", sub, EnumerationBox.zero_one
+
+
+def test_pruned_search_matches_the_box_walk():
+    cases = list(_search_cases())
+    assert len(cases) == 36 + 6 + 4
+    for ground, framework, families, make_box in cases:
+        box = make_box(ground)
+        report = lattice_scan(ground, framework, families, box)
+        expected = _brute_force_points(ground, framework, families, box)
+        assert report.payload["satisfying_points"] == expected, (framework, families)
+
+
+def test_pruned_search_on_random_rows():
+    # rows with any senses, signs, rational coefficients and right-hand
+    # sides, over boxes that reach below zero
+    from imsetpoly.verify import _first_violation, _satisfying_points
+
+    rng = random.Random(3)
+    coefficients = (-3, -2, -1, 1, 2, 3, Fraction(1, 2), Fraction(-2, 3))
+    for _ in range(300):
+        lower = [rng.randint(-2, 1) for _ in range(4)]
+        box = EnumerationBox(G3, lower, [lo + rng.randint(0, 2) for lo in lower])
+        compiled = []
+        for r in range(rng.randint(0, 4)):
+            support = sorted(rng.sample(range(4), rng.randint(1, 4)))
+            terms = tuple((k, rng.choice(coefficients)) for k in support)
+            sense = rng.choice(("<=", ">=", "="))
+            compiled.append((terms, sense, rng.randint(-4, 4), f"row{r}"))
+        expected = {p for p in box.points() if _first_violation(compiled, p) is None}
+        assert _satisfying_points(compiled, box) == expected, compiled
+
+
+def test_pruned_search_far_from_zero():
+    # the lane width must cover rows evaluated at large negative coordinates
+    from imsetpoly.verify import _satisfying_points
+
+    g2 = GroundSet.of_size(2)
+    box = EnumerationBox(g2, (-1000,), (-990,))
+    assert _satisfying_points([(((0, 1),), ">=", 990, "row")], box) == set()
+    assert _satisfying_points([(((0, -1),), ">=", 995, "row")], box) == {
+        (v,) for v in range(-1000, -994)
+    }
+
+
+def test_term_free_rows_are_decided_once():
+    from imsetpoly.verify import _satisfying_points
+
+    box = EnumerationBox.zero_one(G3)
+    row = (((0, 1), (3, -1)), ">=", 0, "row")
+    kept = _satisfying_points([row], box)
+    assert len(kept) == 12
+    assert _satisfying_points([((), "=", 0, "vacuous"), row], box) == kept
+    assert _satisfying_points([((), ">=", 1, "false"), row], box) == set()
+
+
 def test_scan_report_is_deterministic():
     box = EnumerationBox.zero_one(G3)
     first = lattice_scan(G3, "u", U_DEFAULT, box)
@@ -213,6 +308,26 @@ def test_soundness_with_rays():
 
     report = soundness_check(G3, rays=supermodular_rays(G3, "builtin"))
     assert report.passed and report.counts["rows"] == 4 + 18 + 4 + 5
+
+
+def test_soundness_witnesses_name_the_first_violated_row(monkeypatch):
+    # a probe row c(a,b) <= 0, appended to the compiled rows, fails at every
+    # structure with an a-b edge; the report must match a row-by-row check
+    from imsetpoly import verify
+
+    compile_rows = verify._compile_rows
+    probe = (((0, 1),), "<=", 0, "probe")
+    monkeypatch.setattr(
+        verify, "_compile_rows", lambda system: compile_rows(system) + [probe]
+    )
+    report = soundness_check(G4)
+    ordered = sorted(census_characteristic_set(G4))
+    failing = [p for p in ordered if p[0] > 0]
+    assert not report.passed
+    assert report.witnesses == [
+        {"kind": "row_violated", "row": "probe", "point": list(p)} for p in failing[:16]
+    ]
+    assert report.counts["structures"] == ordered.index(failing[15]) + 1
 
 
 def test_soundness_is_deterministic():
