@@ -44,6 +44,8 @@ from .encode import (
     u_from_eta,
 )
 from .exactlin import (
+    _hnf_check,
+    _products_check,
     build_matrix_A,
     build_matrix_B,
     build_matrix_B_bar,
@@ -51,7 +53,6 @@ from .exactlin import (
     build_matrix_D,
     build_matrix_E,
     build_matrix_F,
-    hermite_normal_form,
     is_totally_unimodular_small,
     is_unimodular_full_row_rank,
 )
@@ -89,8 +90,11 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {out}: {exc.strerror}") from None
 
 
 def _emit_json(obj, out: str | None) -> None:
@@ -188,63 +192,6 @@ def _cmd_constraints(args) -> int:
     else:
         _emit_json(system.to_json_dict(), args.out)
     return 0
-
-
-def _hnf_check(m) -> tuple[bool, dict]:
-    h, _ = hermite_normal_form(m)
-    rows, cols = m.shape
-    pivots = []
-    is_identity_block = True
-    for j in range(cols):
-        col = [h.entries[i][j] for i in range(rows)]
-        nonzero = [i for i, x in enumerate(col) if x != 0]
-        if j < rows:
-            if nonzero != [j] or col[j] != 1:
-                is_identity_block = False
-            if nonzero:
-                pivots.append(col[nonzero[0]])
-        elif nonzero:
-            is_identity_block = False
-    return is_identity_block, {
-        "rank": len(pivots),
-        "pivots": pivots,
-        "identity_then_zero_columns": is_identity_block,
-    }
-
-
-def _products_check(name: str, ground: GroundSet) -> tuple[bool, dict]:
-    """The exact identities the named matrix takes part in."""
-    results: dict[str, bool] = {}
-    if name in ("A", "B", "C"):
-        a = build_matrix_A(ground)
-        b = build_matrix_B(ground)
-        c = build_matrix_C(ground)
-        results["B_equals_C_times_A"] = c.mul(a).entries == b.entries
-    if name in ("C", "D"):
-        c = build_matrix_C(ground)
-        d = build_matrix_D(ground)
-        results["C_times_D_is_identity"] = (
-            c.mul(d).entries == c.identity(c.row_labels).entries
-        )
-    if name in ("Bbar", "F"):
-        bbar = build_matrix_B_bar(ground)
-        f = build_matrix_F(ground)
-        results["Bbar_times_F_is_identity"] = (
-            bbar.mul(f).entries == bbar.identity(bbar.row_labels).entries
-        )
-    if name == "E":
-        e = build_matrix_E(ground, dummy_row=True)
-        rows, cols = e.shape
-        ok = True
-        for j in range(cols):
-            col = [e.entries[i][j] for i in range(rows)]
-            if sorted(x for x in col if x) != [-1, 1]:
-                ok = False
-                break
-        results["columns_have_one_plus_and_one_minus"] = ok
-    if not results:
-        raise ValueError(f"no product identity is catalogued for {name}")
-    return all(results.values()), results
 
 
 def _cmd_matrix(args) -> int:

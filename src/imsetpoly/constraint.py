@@ -11,8 +11,9 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
+from .encode import semi_elementary_imset
 from .exactlin import _rational_inverse, _row_rank
 from .setfam import (
     Antichain,
@@ -60,6 +61,11 @@ class LinearConstraint:
         cleaned = {k: Fraction(v) for k, v in dict(self.coeffs).items() if v}
         object.__setattr__(self, "coeffs", cleaned)
         object.__setattr__(self, "rhs", Fraction(self.rhs))
+
+    def __hash__(self) -> int:
+        # coeffs is a dict; hash its items in key order so equal rows agree
+        items = tuple(sorted_items(self.coeffs))
+        return hash((self.framework, items, self.sense, self.rhs, self.tag))
 
     @property
     def is_vacuous(self) -> bool:
@@ -258,16 +264,8 @@ def specific_constraint(antichain: Antichain) -> LinearConstraint:
 
 def cluster_constraint_u(ground: GroundSet, c: int) -> LinearConstraint:
     """Weighted row: sum of u(T)(|C cap T| - 1) over |C cap T| >= 2 is
-    nonnegative."""
-    ground.check_mask(c)
-    if c.bit_count() < 2:
-        raise ValueError("cluster rows need a set with at least two members")
-    coeffs = {}
-    for t in range(1 << ground.n):
-        k = (t & c).bit_count()
-        if k >= 2:
-            coeffs[t] = k - 1
-    return LinearConstraint("u", coeffs, ">=", 0, f"cluster-u:{ground.tag_key(c)}")
+    nonnegative, i.e. the pairing with cluster_supermodular(ground, c)."""
+    return _pairing_row(cluster_supermodular(ground, c), f"cluster-u:{ground.tag_key(c)}")
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +285,6 @@ class KappaCoefficients:
             if m == mask:
                 return v
         return 0
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.entries)
 
 
 def kappa_coefficients(antichain: Antichain) -> KappaCoefficients:
@@ -391,22 +386,28 @@ class SupermodularFunction:
         return {"entries": entries}
 
 
-def is_supermodular(m: SupermodularFunction) -> bool:
-    """Check every elementary exchange
-    m(C+i+j) + m(C) >= m(C+i) + m(C+j)."""
-    n = m.ground.n
-    v = m.values
-    for i in range(n):
-        for j in range(i + 1, n):
-            rest = m.ground.full_mask & ~(1 << i) & ~(1 << j)
+def _elementary_triples(ground: GroundSet) -> Iterator[tuple[int, int, int]]:
+    """The (i, j, C) of the elementary imsets, i < j and C inside the rest of
+    the ground set: by i, then j, then C in ascending mask order."""
+    for i in range(ground.n):
+        for j in range(i + 1, ground.n):
+            rest = ground.full_mask & ~(1 << i) & ~(1 << j)
             c = 0
             while True:
-                if v[c | (1 << i) | (1 << j)] + v[c] < v[c | (1 << i)] + v[c | (1 << j)]:
-                    return False
+                yield i, j, c
                 if c == rest:
                     break
                 c = (c - rest) & rest
-    return True
+
+
+def is_supermodular(m: SupermodularFunction) -> bool:
+    """Check every elementary exchange
+    m(C+i+j) + m(C) >= m(C+i) + m(C+j)."""
+    v = m.values
+    return all(
+        v[c | (1 << i) | (1 << j)] + v[c] >= v[c | (1 << i)] + v[c | (1 << j)]
+        for i, j, c in _elementary_triples(m.ground)
+    )
 
 
 def cluster_supermodular(ground: GroundSet, c: int) -> SupermodularFunction:
@@ -437,6 +438,11 @@ def pairing(m: SupermodularFunction, u_values: Sequence) -> Fraction:
     )
 
 
+def _pairing_row(m: SupermodularFunction, tag: str) -> LinearConstraint:
+    """The row pairing(m, u) >= 0 over u coordinates."""
+    return LinearConstraint("u", dict(enumerate(m.values)), ">=", 0, tag)
+
+
 def nonspecific_constraints(
     ground: GroundSet, rays: Sequence[SupermodularFunction]
 ) -> ConstraintSystem:
@@ -445,8 +451,7 @@ def nonspecific_constraints(
     for k, ray in enumerate(rays):
         if ray.ground != ground:
             raise ValueError("ray ground set does not match")
-        coeffs = {t: v for t, v in enumerate(ray.values) if v}
-        rows.append(LinearConstraint("u", coeffs, ">=", 0, f"nonspecific:{k}"))
+        rows.append(_pairing_row(ray, f"nonspecific:{k}"))
     return ConstraintSystem(ground, "u", tuple(rows))
 
 
@@ -527,29 +532,14 @@ def double_description(rows: list[tuple[int, ...]], dim: int) -> list[tuple[int,
 
 
 def _exchange_rows_p2(ground: GroundSet) -> list[tuple[int, ...]]:
-    """Elementary exchange inequalities restricted to the coordinates on
-    subsets with >= 2 members (entries on smaller subsets are zero there)."""
+    """The elementary imsets restricted to the coordinates on subsets with
+    >= 2 members: the exchange rows of standardized supermodular functions,
+    whose entries on smaller subsets are zero."""
     masks = p2_masks(ground)
-    index = {m: k for k, m in enumerate(masks)}
     rows = []
-    for i in range(ground.n):
-        for j in range(i + 1, ground.n):
-            rest = ground.full_mask & ~(1 << i) & ~(1 << j)
-            c = 0
-            while True:
-                vec = [0] * len(masks)
-                for mask, sign in (
-                    (c | (1 << i) | (1 << j), 1),
-                    (c, 1),
-                    (c | (1 << i), -1),
-                    (c | (1 << j), -1),
-                ):
-                    if mask.bit_count() >= 2:
-                        vec[index[mask]] += sign
-                rows.append(tuple(vec))
-                if c == rest:
-                    break
-                c = (c - rest) & rest
+    for i, j, c in _elementary_triples(ground):
+        values = semi_elementary_imset(ground, 1 << i, 1 << j, c).values
+        rows.append(tuple(values[m] for m in masks))
     return rows
 
 
@@ -579,7 +569,7 @@ def supermodular_rays(
     if source == "computed":
         if ground.n > 5 or (ground.n == 5 and not long_run):
             raise ValueError(
-                "computed rays are limited to n <= 4 (n = 5 needs long_run=True)"
+                "computed rays are limited to n <= 4 (n = 5 needs --long-run, long_run=True)"
             )
         masks = p2_masks(ground)
         rows = _exchange_rows_p2(ground)
@@ -629,9 +619,12 @@ def load_ray_file(ground: GroundSet, path) -> list[SupermodularFunction]:
 
 def save_ray_file(rays: Sequence[SupermodularFunction], path) -> None:
     data = [ray.to_json_dict() for ray in rays]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, ensure_ascii=False, indent=1, sort_keys=True)
-        fh.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh, ensure_ascii=False, indent=1, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from None
 
 
 # ---------------------------------------------------------------------------

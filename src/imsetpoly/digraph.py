@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .setfam import GroundSet, _ground_from_labels, bits_of
 
@@ -72,21 +72,7 @@ class DirectedGraph:
 
 def is_acyclic(g: DirectedGraph) -> bool:
     """Peel nodes whose remaining parents are all peeled; acyclic iff all go."""
-    n = g.ground.n
-    removed = 0
-    full = g.ground.full_mask
-    while removed != full:
-        progress = False
-        for i in range(n):
-            bit = 1 << i
-            if removed & bit:
-                continue
-            if g.parents[i] & ~removed == 0:
-                removed |= bit
-                progress = True
-        if not progress:
-            return False
-    return True
+    return _prefix_acyclic(g.parents, g.ground.n)
 
 
 def enumerate_digraphs(ground: GroundSet, force: bool = False) -> Iterator[DirectedGraph]:
@@ -99,30 +85,10 @@ def enumerate_digraphs(ground: GroundSet, force: bool = False) -> Iterator[Direc
             "digraph enumeration for n >= 5 is a long-running job; "
             "pass force=True to run it anyway"
         )
-    yield from _digraphs(ground)
+    yield from _parent_set_recursion(ground, acyclic=False)
 
 
-def _digraphs(ground: GroundSet) -> Iterator[DirectedGraph]:
-    n = ground.n
-
-    def rec(i: int, parents: list[int]) -> Iterator[DirectedGraph]:
-        if i == n:
-            yield DirectedGraph(ground, tuple(parents))
-            return
-        others = ground.full_mask & ~(1 << i)
-        sub = 0
-        while True:
-            parents.append(sub)
-            yield from rec(i + 1, parents)
-            parents.pop()
-            if sub == others:
-                break
-            sub = (sub - others) & others
-
-    yield from rec(0, [])
-
-
-def _prefix_acyclic(parents: list[int], k: int) -> bool:
+def _prefix_acyclic(parents: Sequence[int], k: int) -> bool:
     # Acyclicity of the graph restricted to the first k nodes.  Arrows from
     # later nodes cannot lie on a cycle among the first k, so they are cut.
     assigned = (1 << k) - 1
@@ -146,6 +112,12 @@ def enumerate_dags(ground: GroundSet) -> Iterator[DirectedGraph]:
     pruning of cyclic prefixes.  Refuses n >= 6."""
     if ground.n >= 6:
         raise ValueError("acyclic enumeration is limited to n <= 5")
+    yield from _parent_set_recursion(ground, acyclic=True)
+
+
+def _parent_set_recursion(ground: GroundSet, acyclic: bool) -> Iterator[DirectedGraph]:
+    # choose the parent set of node 0, then node 1, ...; with acyclic set, a
+    # prefix whose first nodes already close a cycle is cut with its subtree
     n = ground.n
 
     def rec(i: int, parents: list[int]) -> Iterator[DirectedGraph]:
@@ -156,7 +128,7 @@ def enumerate_dags(ground: GroundSet) -> Iterator[DirectedGraph]:
         sub = 0
         while True:
             parents.append(sub)
-            if _prefix_acyclic(parents, i + 1):
+            if not acyclic or _prefix_acyclic(parents, i + 1):
                 yield from rec(i + 1, parents)
             parents.pop()
             if sub == others:

@@ -29,26 +29,25 @@ from .setfam import (
 )
 
 
-def superset_zeta(values: list, n: int) -> list:
-    """p[S] = sum of values[T] over T containing S (in-place butterfly)."""
+def _superset_butterfly(values: list, n: int, sign: int) -> list:
+    # one pass per variable adds sign times the entry of S+b into S
     v = list(values)
     for b in range(n):
         bit = 1 << b
         for s in range(1 << n):
             if not s & bit:
-                v[s] += v[s | bit]
+                v[s] += sign * v[s | bit]
     return v
+
+
+def superset_zeta(values: list, n: int) -> list:
+    """p[S] = sum of values[T] over T containing S (butterfly on a copy)."""
+    return _superset_butterfly(values, n, 1)
 
 
 def superset_moebius(values: list, n: int) -> list:
     """Inverse of superset_zeta: alternating sum over supersets."""
-    v = list(values)
-    for b in range(n):
-        bit = 1 << b
-        for s in range(1 << n):
-            if not s & bit:
-                v[s] -= v[s | bit]
-    return v
+    return _superset_butterfly(values, n, -1)
 
 
 @dataclass(frozen=True)
@@ -310,10 +309,6 @@ def markov_equivalent(g: DirectedGraph, h: DirectedGraph) -> bool:
     if not is_acyclic(g) or not is_acyclic(h):
         raise ValueError("equivalence testing is defined for acyclic graphs only")
     return standard_imset_of(g) == standard_imset_of(h)
-
-
-def imset_to_json_dict(obj) -> dict:
-    return obj.to_json_dict()
 
 
 def imset_from_json_dict(data: dict):

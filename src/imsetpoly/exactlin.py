@@ -90,9 +90,6 @@ class IntMatrix:
         )
         return IntMatrix(product, self.row_labels, other.col_labels)
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.entries)), self.col_labels, self.row_labels)
-
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "IntMatrix":
         return IntMatrix(
             tuple(tuple(self.entries[i][j] for j in cols) for i in rows),
@@ -232,44 +229,41 @@ def build_matrix_B(ground: GroundSet) -> IntMatrix:
     )
 
 
+def _containment_matrix(
+    ground: GroundSet, signed: bool, singleton_identity: bool = False
+) -> IntMatrix:
+    """Square matrix over the non-empty subsets: entry (S, R) is nonzero
+    exactly when S lies inside R, and is then 1, or (-1)^|R minus S| when
+    signed is set.  With singleton_identity set, singleton rows are identity
+    rows instead."""
+    masks = p1_masks(ground)
+    rows = []
+    for s in masks:
+        if singleton_identity and s.bit_count() == 1:
+            rows.append(tuple(1 if r == s else 0 for r in masks))
+        else:
+            rows.append(tuple(
+                ((-1) ** (r & ~s).bit_count() if signed else 1) if s & r == s else 0
+                for r in masks
+            ))
+    labels = tuple(ground.subset_key(t) for t in masks)
+    return IntMatrix(tuple(rows), labels, labels)
+
+
 def build_matrix_C(ground: GroundSet) -> IntMatrix:
     """Superset-sum matrix with singleton rows left as identity rows."""
-    rows = []
-    for s in p1_masks(ground):
-        if s.bit_count() == 1:
-            rows.append(tuple(1 if t == s else 0 for t in p1_masks(ground)))
-        else:
-            rows.append(tuple(1 if t & s == s else 0 for t in p1_masks(ground)))
-    labels = tuple(ground.subset_key(t) for t in p1_masks(ground))
-    return IntMatrix(tuple(rows), labels, labels)
+    return _containment_matrix(ground, signed=False, singleton_identity=True)
 
 
 def build_matrix_D(ground: GroundSet) -> IntMatrix:
     """Inverse of build_matrix_C: signed superset sums on non-singleton rows."""
-    rows = []
-    for t in p1_masks(ground):
-        if t.bit_count() == 1:
-            rows.append(tuple(1 if r == t else 0 for r in p1_masks(ground)))
-        else:
-            row = []
-            for r in p1_masks(ground):
-                if t & r == t:
-                    row.append((-1) ** ((r & ~t).bit_count()))
-                else:
-                    row.append(0)
-            rows.append(tuple(row))
-    labels = tuple(ground.subset_key(t) for t in p1_masks(ground))
-    return IntMatrix(tuple(rows), labels, labels)
+    return _containment_matrix(ground, signed=True, singleton_identity=True)
 
 
 def build_matrix_B_bar(ground: GroundSet) -> IntMatrix:
     """Containment indicator matrix: entry 1 when the row set lies inside the
     column set."""
-    labels = tuple(ground.subset_key(t) for t in p1_masks(ground))
-    rows = tuple(
-        tuple(1 if s & r == s else 0 for r in p1_masks(ground)) for s in p1_masks(ground)
-    )
-    return IntMatrix(rows, labels, labels)
+    return _containment_matrix(ground, signed=False)
 
 
 def e_column_for_pair(ground: GroundSet, i: int, b: int) -> str:
@@ -308,17 +302,7 @@ def build_matrix_E(ground: GroundSet, dummy_row: bool = False) -> IntMatrix:
 
 def build_matrix_F(ground: GroundSet) -> IntMatrix:
     """Inverse of the containment indicator matrix: signed superset sums."""
-    rows = []
-    for r in p1_masks(ground):
-        row = []
-        for u in p1_masks(ground):
-            if r & u == r:
-                row.append((-1) ** ((u & ~r).bit_count()))
-            else:
-                row.append(0)
-        rows.append(tuple(row))
-    labels = tuple(ground.subset_key(t) for t in p1_masks(ground))
-    return IntMatrix(tuple(rows), labels, labels)
+    return _containment_matrix(ground, signed=True)
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +366,55 @@ def hnf_rank(m: IntMatrix) -> int:
         if any(h.entries[i][j] != 0 for i in range(rows)):
             rank += 1
     return rank
+
+
+def _hnf_check(m: IntMatrix) -> tuple[bool, dict]:
+    """Certificate that the column-style Hermite form of m is [I 0]: the
+    verdict and its rank and pivots."""
+    h, _ = hermite_normal_form(m)
+    rows, cols = m.shape
+    is_identity_block = all(
+        row == tuple(int(i == j) for j in range(cols)) for i, row in enumerate(h.entries)
+    )
+    # the leading entry of each nonzero column among the first `rows`
+    columns = list(zip(*h.entries))[:rows]
+    pivots = [next(x for x in col if x) for col in columns if any(col)]
+    return is_identity_block, {
+        "rank": len(pivots),
+        "pivots": pivots,
+        "identity_then_zero_columns": is_identity_block,
+    }
+
+
+def _products_check(name: str, ground: GroundSet) -> tuple[bool, dict]:
+    """Certificate of the exact product identities the named catalog matrix
+    takes part in: the verdict and one flag per identity."""
+    results: dict[str, bool] = {}
+    if name in ("A", "B", "C"):
+        a = build_matrix_A(ground)
+        b = build_matrix_B(ground)
+        c = build_matrix_C(ground)
+        results["B_equals_C_times_A"] = c.mul(a).entries == b.entries
+    if name in ("C", "D"):
+        c = build_matrix_C(ground)
+        d = build_matrix_D(ground)
+        results["C_times_D_is_identity"] = (
+            c.mul(d).entries == c.identity(c.row_labels).entries
+        )
+    if name in ("Bbar", "F"):
+        bbar = build_matrix_B_bar(ground)
+        f = build_matrix_F(ground)
+        results["Bbar_times_F_is_identity"] = (
+            bbar.mul(f).entries == bbar.identity(bbar.row_labels).entries
+        )
+    if name == "E":
+        e = build_matrix_E(ground, dummy_row=True)
+        results["columns_have_one_plus_and_one_minus"] = all(
+            sorted(x for x in col if x) == [-1, 1] for col in zip(*e.entries)
+        )
+    if not results:
+        raise ValueError(f"no product identity is catalogued for {name}")
+    return all(results.values()), results
 
 
 # ---------------------------------------------------------------------------

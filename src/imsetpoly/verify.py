@@ -41,6 +41,7 @@ from .digraph import (
     is_acyclic,
 )
 from .encode import (
+    StandardImset,
     eta_of,
     quasi_characteristic_of,
     standard_imset_of,
@@ -378,7 +379,6 @@ def lattice_scan(
     families,
     box: EnumerationBox,
     rays=None,
-    budget: int = SCAN_BUDGET,
     long_run: bool = False,
 ) -> VerificationReport:
     """Find the integer characteristic points of the box satisfying every
@@ -388,17 +388,17 @@ def lattice_scan(
     back to them at compile time, so every point stands for the standard
     imset u = Moebius(1 - c), which satisfies the standardization equalities
     by construction.  The budget bounds the box volume, not the nodes the
-    search visits.  The scan passes when the satisfying set equals the
-    census set.
+    search visits; long_run lifts it.  The scan passes when the satisfying
+    set equals the census set.
     """
     t0 = time.perf_counter()
     if framework not in ("u", "c"):
         raise ValueError("lattice scans run over the 'u' or 'c' framework")
     volume = box.volume()
-    if volume > budget and not long_run:
+    if volume > SCAN_BUDGET and not long_run:
         raise ValueError(
-            f"box holds {volume} points, over the budget of {budget}; "
-            "set long_run=True to scan anyway"
+            f"box holds {volume} points, over the budget of {SCAN_BUDGET}; "
+            "pass --long-run (long_run=True) to scan anyway"
         )
     system = assemble_system(ground, framework, families, rays=rays)
     census = census_characteristic_set(ground)
@@ -511,6 +511,19 @@ def soundness_check(
 # relaxation comparison
 
 
+def _strictness_witness_n3(ground: GroundSet) -> tuple[StandardImset, bool, bool]:
+    """The n = 3 witness u(T) = (-1)^|T|, whether it satisfies every cluster-u
+    row, and whether it violates a nonspecific row of the builtin rays."""
+    alt = StandardImset(ground, tuple((-1) ** t.bit_count() for t in range(1 << ground.n)))
+    cluster_rows = [cluster_constraint_u(ground, c) for c in p2_masks(ground)]
+    nonspec = nonspecific_constraints(ground, supermodular_rays(ground, "builtin"))
+    return (
+        alt,
+        all(row.holds_at(alt.values) for row in cluster_rows),
+        not nonspec.satisfied_by(alt.values),
+    )
+
+
 def relaxation_comparison(
     ground: GroundSet, box: EnumerationBox | None = None
 ) -> VerificationReport:
@@ -527,12 +540,13 @@ def relaxation_comparison(
         raise ValueError("relaxation comparison is limited to n <= 4")
     if box is None:
         box = EnumerationBox.default(ground)
-    scan_a = lattice_scan(
-        ground, "u", ("equality", "specific", "nonspecific"), box
+    set_a, set_b = (
+        _satisfying_points(_compile_rows(assemble_system(ground, "u", families)), box)
+        for families in (
+            ("equality", "specific", "nonspecific"),
+            ("equality", "specific", "cluster-u"),
+        )
     )
-    scan_b = lattice_scan(ground, "u", ("equality", "specific", "cluster-u"), box)
-    set_a = {tuple(p) for p in scan_a.payload["satisfying_points"]}
-    set_b = {tuple(p) for p in scan_b.payload["satisfying_points"]}
     leaked = sorted(set_a - set_b)
     witnesses = [
         {"kind": "nonspecific_point_outside_cluster_relaxation", "point": list(p)}
@@ -549,12 +563,7 @@ def relaxation_comparison(
     witness_ok = True
     witness_info = None
     if ground.n == 3:
-        alt = [(-1) ** t.bit_count() for t in range(1 << ground.n)]
-        cluster_rows = [cluster_constraint_u(ground, c) for c in p2_masks(ground)]
-        rays = supermodular_rays(ground, "builtin")
-        nonspec = nonspecific_constraints(ground, rays)
-        satisfies_cluster = all(row.holds_at(alt) for row in cluster_rows)
-        violates_nonspecific = not nonspec.satisfied_by(alt)
+        _, satisfies_cluster, violates_nonspecific = _strictness_witness_n3(ground)
         witness_ok = satisfies_cluster and violates_nonspecific
         witness_info = {
             "vector": "u(T) = (-1)^|T|",
@@ -946,24 +955,15 @@ def run_example(example_id: int) -> VerificationReport:
     elif example_id == 7:
         row_ab = cluster_constraint_u(ground, 3)
         row_abc = cluster_constraint_u(ground, 7)
-        alt = [(-1) ** t.bit_count() for t in range(8)]
-        rays = supermodular_rays(ground, "builtin")
-        nonspec = nonspecific_constraints(ground, rays)
-        cluster_rows = [cluster_constraint_u(ground, c) for c in p2_masks(ground)]
+        alt, satisfies_cluster, violates_nonspecific = _strictness_witness_n3(ground)
         checks = {
             "row_ab_matches": dict(row_ab.coeffs) == {3: 1, 7: 1}
             and row_ab.sense == ">="
             and row_ab.rhs == 0,
             "row_abc_matches": dict(row_abc.coeffs) == {3: 1, 5: 1, 6: 1, 7: 2},
-            "witness_satisfies_cluster_rows": all(
-                r.holds_at(alt) for r in cluster_rows
-            ),
-            "witness_violates_nonspecific_row": not nonspec.satisfied_by(alt),
-            "witness_is_standardized": sum(alt) == 0
-            and all(
-                sum(v for t, v in enumerate(alt) if (t >> j) & 1) == 0
-                for j in range(3)
-            ),
+            "witness_satisfies_cluster_rows": satisfies_cluster,
+            "witness_violates_nonspecific_row": violates_nonspecific,
+            "witness_is_standardized": alt.is_standardized(),
         }
         report = _report("example-7", {"n": 3}, checks)
     elif example_id == 8:

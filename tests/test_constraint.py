@@ -95,6 +95,26 @@ def test_linear_constraint_mechanics():
         LinearConstraint("w", {}, ">=", 0, "t")
 
 
+def test_linear_constraint_hash_agrees_with_equality():
+    row = LinearConstraint("u", {3: 2, 5: 1}, ">=", 1, "t")
+    # same row written with another key order, Fractions and a zero entry
+    twin = LinearConstraint("u", {5: Fraction(1), 6: 0, 3: Fraction(4, 2)}, ">=", 1, "t")
+    assert row == twin and hash(row) == hash(twin)
+    assert len({row, twin}) == 1
+    others = [
+        LinearConstraint("u", {3: 2, 5: 1}, ">=", 1, "s"),
+        LinearConstraint("u", {3: 2, 5: 1}, "<=", 1, "t"),
+        LinearConstraint("u", {3: 2, 5: 1}, ">=", 2, "t"),
+        LinearConstraint("c", {3: 2, 5: 1}, ">=", 1, "t"),
+        LinearConstraint("u", {3: 2}, ">=", 1, "t"),
+    ]
+    assert len({row, *others}) == 6
+    eta_row = LinearConstraint("eta", {(0, 2): 1, (1, 0): 1}, ">=", 1, "t")
+    assert eta_row in {LinearConstraint("eta", {(1, 0): 1, (0, 2): 1}, ">=", 1, "t")}
+    system = assemble_system(G4, "u", ("equality", "specific", "cluster-u"))
+    assert len(set(system.rows)) == len(system)
+
+
 def test_system_json_uses_rational_strings():
     system = ConstraintSystem(
         G3,
@@ -515,6 +535,8 @@ def test_ray_file_round_trip(tmp_path):
     path5.write_text(json.dumps(fractional), encoding="utf-8")
     with pytest.raises(ValueError, match="must be an integer"):
         load_ray_file(G3, path5)
+    with pytest.raises(ValueError, match="cannot write"):
+        save_ray_file(rays, tmp_path / "missing" / "rays.json")
 
 
 def test_nonspecific_rows():

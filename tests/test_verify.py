@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from imsetpoly import verify
 from imsetpoly.setfam import GroundSet
 from imsetpoly.verify import (
     EnumerationBox,
@@ -152,11 +153,12 @@ def test_scan_records_witnesses_when_rows_are_too_weak():
     assert kinds == {"satisfies_rows_but_not_a_structure"}
 
 
-def test_scan_budget_refusal_and_override():
+def test_scan_budget_refusal_and_override(monkeypatch):
+    monkeypatch.setattr(verify, "SCAN_BUDGET", 10)
     box = EnumerationBox.default(G3)
-    with pytest.raises(ValueError, match="budget"):
-        lattice_scan(G3, "c", C_DEFAULT, box, budget=10)
-    report = lattice_scan(G3, "c", C_DEFAULT, box, budget=10, long_run=True)
+    with pytest.raises(ValueError, match="budget.*--long-run"):
+        lattice_scan(G3, "c", C_DEFAULT, box)
+    report = lattice_scan(G3, "c", C_DEFAULT, box, long_run=True)
     assert report.passed
 
 
