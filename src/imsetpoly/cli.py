@@ -281,7 +281,7 @@ def _cmd_decompose(args) -> int:
 def _cmd_rays(args) -> int:
     ground = _ground(args)
     source = "builtin" if args.method == "builtin" else "computed"
-    rays = supermodular_rays(ground, source, long_run=args.long_run)
+    rays = supermodular_rays(ground, source)
     if args.out is not None:
         save_ray_file(rays, args.out)
         sys.stdout.write(f"{len(rays)} rays written to {args.out}\n")
@@ -403,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rays", help="list or save extreme supermodular rays")
     add_n(p)
     p.add_argument("--method", choices=("builtin", "dd"), default="builtin")
-    p.add_argument("--long-run", action="store_true")
     add_out(p)
     p.set_defaults(func=_cmd_rays)
 

@@ -8,6 +8,7 @@ floating point enters any verification path.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -32,7 +33,8 @@ from .setfam import (
     union_closure_class,
 )
 
-SENSES = (">=", "<=", "=")
+# a row with sense s holds when SENSES[s](lhs, rhs)
+SENSES = {">=": operator.ge, "<=": operator.le, "=": operator.eq}
 
 
 class ConeViolationError(RuntimeError):
@@ -78,12 +80,7 @@ class LinearConstraint:
         return sum((coef * get(key) for key, coef in self.coeffs.items()), Fraction(0))
 
     def holds_at(self, values) -> bool:
-        lhs = self.value_at(values)
-        if self.sense == ">=":
-            return lhs >= self.rhs
-        if self.sense == "<=":
-            return lhs <= self.rhs
-        return lhs == self.rhs
+        return SENSES[self.sense](self.value_at(values), self.rhs)
 
 
 @dataclass(frozen=True)
@@ -551,26 +548,22 @@ def _builtin_rays_n3(ground: GroundSet) -> list[SupermodularFunction]:
     return rays
 
 
-def supermodular_rays(
-    ground: GroundSet, source: str = "builtin", long_run: bool = False
-) -> list[SupermodularFunction]:
+def supermodular_rays(ground: GroundSet, source: str = "builtin") -> list[SupermodularFunction]:
     """Extreme rays of the cone of standardized supermodular functions,
     normalized to coprime integers.
 
     source is 'builtin' (n=3 only), 'computed' (exact double description,
-    n <= 4, or n = 5 with long_run set), or a path to a ray file.  File rays
-    are re-validated for supermodularity and standardization; extremality of
-    file rays is trusted, not re-verified.
+    n <= 4; n = 5 did not finish in ten minutes on 2 vCPUs), or a path to a
+    ray file.  File rays are re-validated for supermodularity and
+    standardization; extremality of file rays is trusted, not re-verified.
     """
     if source == "builtin":
         if ground.n != 3:
             raise ValueError("builtin rays are available for n = 3 only")
         return _builtin_rays_n3(ground)
     if source == "computed":
-        if ground.n > 5 or (ground.n == 5 and not long_run):
-            raise ValueError(
-                "computed rays are limited to n <= 4 (n = 5 needs --long-run, long_run=True)"
-            )
+        if ground.n > 4:
+            raise ValueError("computed rays are limited to n <= 4")
         masks = p2_masks(ground)
         rows = _exchange_rows_p2(ground)
         rays_p2 = double_description(rows, len(masks))

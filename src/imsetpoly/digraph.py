@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .setfam import GroundSet, _ground_from_labels, bits_of
+from .setfam import GroundSet, _ground_from_labels, bits_of, p2_index, p2_masks
 
 
 @dataclass(frozen=True)
@@ -75,16 +76,11 @@ def is_acyclic(g: DirectedGraph) -> bool:
     return _prefix_acyclic(g.parents, g.ground.n)
 
 
-def enumerate_digraphs(ground: GroundSet, force: bool = False) -> Iterator[DirectedGraph]:
-    """All loop-free directed graphs: 2^(n(n-1)) of them.
-
-    Refuses n >= 5 unless force is set (n=5 already means 2^20 graphs).
-    """
-    if ground.n >= 5 and not force:
-        raise ValueError(
-            "digraph enumeration for n >= 5 is a long-running job; "
-            "pass force=True to run it anyway"
-        )
+def enumerate_digraphs(ground: GroundSet) -> Iterator[DirectedGraph]:
+    """All loop-free directed graphs: 2^(n(n-1)) of them.  Refuses n >= 5
+    (n = 5 already means 2^20 graphs)."""
+    if ground.n >= 5:
+        raise ValueError("digraph enumeration is limited to n <= 4")
     yield from _parent_set_recursion(ground, acyclic=False)
 
 
@@ -138,6 +134,32 @@ def _parent_set_recursion(ground: GroundSet, acyclic: bool) -> Iterator[Directed
     yield from rec(0, [])
 
 
+@lru_cache(maxsize=None)
+def _super_terminal_table(ground: GroundSet) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    # table[i][p]: positions in p2_masks of all {i} + T, T a non-empty subset of p
+    index = p2_index(ground)
+    return tuple(
+        tuple(
+            tuple(index[t | 1 << i] for t in range(1, p + 1) if t & p == t and not t >> i & 1)
+            for p in range(1 << ground.n)
+        )
+        for i in range(ground.n)
+    )
+
+
+def super_terminal_counts(ground: GroundSet, parents: Sequence[int]) -> tuple[int, ...]:
+    """For every subset S with >= 2 members, ascending, the number of i in S
+    whose parent mask parents[i] covers the rest of S.
+
+    On an acyclic graph these are its characteristic imset values.
+    """
+    counts = [0] * len(p2_masks(ground))
+    for row, p in zip(_super_terminal_table(ground), parents):
+        for k in row[p]:
+            counts[k] += 1
+    return tuple(counts)
+
+
 def super_terminal_count(g: DirectedGraph, s: int) -> int:
     """Number of i in S whose parent set covers the rest of S.
 
@@ -146,8 +168,4 @@ def super_terminal_count(g: DirectedGraph, s: int) -> int:
     if s.bit_count() < 2:
         raise ValueError("super-terminal counting needs a set with at least two members")
     g.ground.check_mask(s)
-    count = 0
-    for i in bits_of(s):
-        if (s & ~(1 << i)) & ~g.parents[i] == 0:
-            count += 1
-    return count
+    return super_terminal_counts(g.ground, g.parents)[p2_index(g.ground)[s]]

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .digraph import DirectedGraph, is_acyclic, super_terminal_count
+from .digraph import DirectedGraph, is_acyclic, super_terminal_counts
 from .setfam import (
     GroundSet,
     _ground_from_labels,
@@ -296,10 +296,7 @@ def char_from_eta(eta: EtaVector) -> CharacteristicImset:
 def quasi_characteristic_of(g: DirectedGraph) -> CharacteristicImset:
     """Characteristic values of an arbitrary digraph via super-terminal
     counting; agrees with char_from_eta(eta_of(g))."""
-    ground = g.ground
-    return CharacteristicImset(
-        ground, tuple(super_terminal_count(g, s) for s in p2_masks(ground))
-    )
+    return CharacteristicImset(g.ground, super_terminal_counts(g.ground, g.parents))
 
 
 def markov_equivalent(g: DirectedGraph, h: DirectedGraph) -> bool:

@@ -450,7 +450,6 @@ def is_unimodular_full_row_rank(
     rows, cols = m.shape
     if hnf_rank(m) != rows:
         raise ValueError("matrix does not have full row rank")
-    all_rows = tuple(range(rows))
     if mode == "exhaustive":
         total = comb(cols, rows)
         if total > MINOR_BUDGET:
@@ -458,24 +457,19 @@ def is_unimodular_full_row_rank(
                 f"{total} maximal minors exceed the exhaustive budget of {MINOR_BUDGET}; "
                 "use sampled mode"
             )
-        checked = 0
-        for col_pick in combinations(range(cols), rows):
-            d = m.submatrix(all_rows, col_pick).det()
-            checked += 1
-            if abs(d) > 1:
-                return MinorVerdict("exhaustive", False, checked, col_pick, d)
-        return MinorVerdict("exhaustive", True, checked)
-    if mode == "sampled":
+        picks = combinations(range(cols), rows)
+    elif mode == "sampled":
         rng = random.Random(seed)
-        checked = 0
-        for _ in range(samples):
-            col_pick = tuple(sorted(rng.sample(range(cols), rows)))
-            d = m.submatrix(all_rows, col_pick).det()
-            checked += 1
-            if abs(d) > 1:
-                return MinorVerdict("sampled", False, checked, col_pick, d)
-        return MinorVerdict("sampled", None, checked)
-    raise ValueError(f"unknown scan mode {mode!r}")
+        picks = (tuple(sorted(rng.sample(range(cols), rows))) for _ in range(samples))
+    else:
+        raise ValueError(f"unknown scan mode {mode!r}")
+    all_rows = tuple(range(rows))
+    checked = 0
+    for checked, col_pick in enumerate(picks, 1):
+        d = m.submatrix(all_rows, col_pick).det()
+        if abs(d) > 1:
+            return MinorVerdict(mode, False, checked, col_pick, d)
+    return MinorVerdict(mode, True if mode == "exhaustive" else None, checked)
 
 
 @dataclass(frozen=True)

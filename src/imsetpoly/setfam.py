@@ -139,6 +139,11 @@ def _ground_from_labels(labels) -> GroundSet:
     of strings: a bare string is refused, not read one label per character."""
     if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
         raise ValueError("'labels' must be a JSON array of strings")
+    for x in labels:
+        # subset keys join labels with ',', pair keys split at '|', and
+        # parse_subset strips spaces and reads '' and EMPTY_KEY as the empty set
+        if x in ("", EMPTY_KEY) or x != x.strip() or "," in x or "|" in x:
+            raise ValueError(f"label {x!r} cannot be read back from a subset or pair key")
     return GroundSet(tuple(labels))
 
 
@@ -151,9 +156,10 @@ def _rational_entries(entries):
         try:
             number = Fraction(value)
         except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-            raise ValueError(
-                f"entry {key!r} is not a rational number: {value!r}"
-            ) from None
+            number = None
+        # Fraction(True) == 1, but a JSON boolean is not a number
+        if number is None or isinstance(value, bool):
+            raise ValueError(f"entry {key!r} is not a rational number: {value!r}")
         yield key, number
 
 
@@ -310,18 +316,15 @@ def minimal_sets(cls: SetClass) -> Antichain:
     return Antichain(cls.ground, tuple(mins))
 
 
-def enumerate_antichains(ground: GroundSet, force: bool = False) -> Iterator[Antichain]:
+def enumerate_antichains(ground: GroundSet) -> Iterator[Antichain]:
     """Stream every non-empty antichain of non-empty subsets.
 
     Backtracking over non-empty subsets in ascending mask order; each
     partial choice is extended only with later, incomparable sets, so each
-    antichain appears exactly once.  Refuses n >= 6 unless force is set.
+    antichain appears exactly once.  Refuses n >= 6 (7.8 M antichains).
     """
-    if ground.n >= 6 and not force:
-        raise ValueError(
-            "antichain enumeration for n >= 6 is a long-running job; "
-            "pass force=True to run it anyway"
-        )
+    if ground.n >= 6:
+        raise ValueError("antichain enumeration is limited to n <= 5")
     masks = p1_masks(ground)
 
     def extend(chosen: list[int], start: int) -> Iterator[Antichain]:

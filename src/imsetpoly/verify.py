@@ -19,6 +19,7 @@ from itertools import product
 from math import lcm
 
 from .constraint import (
+    SENSES,
     ConstraintSystem,
     LinearConstraint,
     assemble_system,
@@ -39,19 +40,18 @@ from .digraph import (
     enumerate_dags,
     enumerate_digraphs,
     is_acyclic,
+    super_terminal_counts,
 )
 from .encode import (
     StandardImset,
     eta_of,
     quasi_characteristic_of,
-    standard_imset_of,
     superset_moebius,
 )
 from .exactlin import _row_rank
 from .setfam import (
     Antichain,
     GroundSet,
-    bits_of,
     enumerate_antichains,
     eta_pairs,
     p2_masks,
@@ -163,20 +163,10 @@ class EnumerationBox:
 @lru_cache(maxsize=None)
 def _census_data(ground: GroundSet) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """DAG count and the sorted, deduplicated characteristic tuples."""
-    masks = p2_masks(ground)
-    probes = [tuple((i, s & ~(1 << i)) for i in bits_of(s)) for s in masks]
     seen: set[tuple[int, ...]] = set()
     count = 0
     for g in enumerate_dags(ground):
-        pars = g.parents
-        vals = []
-        for probe in probes:
-            c = 0
-            for i, rest in probe:
-                if rest & ~pars[i] == 0:
-                    c += 1
-            vals.append(c)
-        seen.add(tuple(vals))
+        seen.add(super_terminal_counts(ground, g.parents))
         count += 1
     return count, tuple(sorted(seen))
 
@@ -249,12 +239,7 @@ def _compile_rows(system: ConstraintSystem):
 
 
 def _row_holds(terms, sense, rhs, vector) -> bool:
-    lhs = sum(coeff * vector[k] for k, coeff in terms)
-    if sense == ">=":
-        return lhs >= rhs
-    if sense == "<=":
-        return lhs <= rhs
-    return lhs == rhs
+    return SENSES[sense](sum(coeff * vector[k] for k, coeff in terms), rhs)
 
 
 def _first_violation(compiled, vector):
@@ -659,7 +644,7 @@ def _expand_facets_n3():
     return sorted(rows)
 
 
-def example5_image_check(ground: GroundSet | None = None) -> VerificationReport:
+def example5_image_check() -> VerificationReport:
     """Check the image of all 64 digraph codes under the characteristic
     transform at n = 3 against the reference vertex and facet lists.
 
@@ -670,10 +655,7 @@ def example5_image_check(ground: GroundSet | None = None) -> VerificationReport:
     recorded in the report.
     """
     t0 = time.perf_counter()
-    if ground is None:
-        ground = GroundSet.of_size(3)
-    if ground.n != 3:
-        raise ValueError("this reference check is defined for n = 3")
+    ground = GroundSet.of_size(3)
     images = set()
     for g in enumerate_digraphs(ground):
         images.add(quasi_characteristic_of(g).values)
@@ -745,7 +727,7 @@ def example5_image_check(ground: GroundSet | None = None) -> VerificationReport:
     return report
 
 
-def example8_fractional_check(ground: GroundSet | None = None) -> VerificationReport:
+def example8_fractional_check() -> VerificationReport:
     """Check the fractional-vertex phenomenon at n = 3.
 
     The point (1, 1, 1, 3/2) satisfies every kappa-specific and every
@@ -755,10 +737,7 @@ def example8_fractional_check(ground: GroundSet | None = None) -> VerificationRe
     are exactly the 11 census structures.
     """
     t0 = time.perf_counter()
-    if ground is None:
-        ground = GroundSet.of_size(3)
-    if ground.n != 3:
-        raise ValueError("this reference check is defined for n = 3")
+    ground = GroundSet.of_size(3)
     full = ground.full_mask
     point = {m: Fraction(1) for m in p2_masks(ground)}
     point[full] = Fraction(3, 2)
@@ -828,148 +807,143 @@ def _report(name: str, params: dict, checks: dict, payload: dict | None = None):
     )
 
 
+def _example_1() -> VerificationReport:
+    ground = GroundSet.of_size(3)
+    g = _example_graph(ground)
+    eta = eta_of(g)
+    expected = {("a", "b"), ("b", "a,c"), ("c", "∅")}
+    ones = {
+        tuple(ground.pair_key(i, b).split("|"))
+        for (i, b), v in zip(eta_pairs(ground), eta.values)
+        if v == 1
+    }
+    checks = {
+        "graph_is_cyclic": not is_acyclic(g),
+        "eta_has_exactly_three_ones": sum(eta.values) == 3 and set(eta.values) <= {0, 1},
+        "eta_support_matches": ones == expected,
+    }
+    return _report(
+        "example-1", {"n": 3, "graph": g.to_json_dict()}, checks, {"eta": eta.to_json_dict()}
+    )
+
+
+def _example_2() -> VerificationReport:
+    ground = GroundSet.of_size(3)
+    system = eta_system(ground)
+    by_family = {"nonneg": 0, "equality": 0, "cluster": 0}
+    for row in system:
+        by_family[row.tag.split(":")[0]] += 1
+    pair_ab = next(r for r in system if r.tag == "cluster:ab")
+    pair_abc = next(r for r in system if r.tag == "cluster:abc")
+    a, b, c = 0, 1, 2
+    expected_ab = {(a, 0): 1, (a, 1 << c): 1, (b, 0): 1, (b, 1 << c): 1}
+    expected_abc = {(a, 0): 1, (b, 0): 1, (c, 0): 1}
+    agree = all(
+        system.satisfied_by(dict(zip(eta_pairs(ground), eta_of(g).values))) == is_acyclic(g)
+        for g in enumerate_digraphs(ground)
+    )
+    checks = {
+        "twelve_nonneg_rows": by_family["nonneg"] == 12,
+        "three_equality_rows": by_family["equality"] == 3,
+        "four_cluster_rows": by_family["cluster"] == 4,
+        "cluster_ab_row_matches": dict(pair_ab.coeffs) == expected_ab
+        and pair_ab.sense == ">="
+        and pair_ab.rhs == 1,
+        "cluster_abc_row_matches": dict(pair_abc.coeffs) == expected_abc,
+        "system_characterizes_acyclicity_on_codes": agree,
+    }
+    return _report("example-2", {"n": 3}, checks)
+
+
+def _example_3() -> VerificationReport:
+    ground = GroundSet.of_size(3)
+    row = specific_constraint(Antichain(ground, (3, 5, 6)))
+    rays = supermodular_rays(ground, "builtin")
+    nonspec = nonspecific_constraints(ground, rays)
+    has_abc_row = any(
+        dict(r.coeffs) == {7: 1} and r.sense == ">=" and r.rhs == 0 for r in nonspec
+    )
+    checks = {
+        "four_equality_rows": len(u_equality_system(ground)) == 4,
+        "eighteen_specific_classes": len(list(enumerate_antichains(ground))) == 18,
+        "pairs_row_matches": dict(row.coeffs) == {3: 1, 5: 1, 6: 1, 7: 1}
+        and row.sense == "<="
+        and row.rhs == 1,
+        "five_nonspecific_rows": len(nonspec) == 5,
+        "abc_nonneg_row_present": has_abc_row,
+        "all_structures_satisfy_inequalities": soundness_check(ground, rays=rays).passed,
+    }
+    return _report("example-3", {"n": 3}, checks)
+
+
+def _example_4() -> VerificationReport:
+    ground = GroundSet.of_size(3)
+    g = _example_graph(ground)
+    c = quasi_characteristic_of(g)
+    checks = {
+        "values_match": c.values == (2, 0, 1, 1),
+        "cyclic_code_leaves_unit_range": not all(0 <= v <= 1 for v in c.values),
+        "acyclic_codes_stay_in_unit_range": all(
+            set(point) <= {0, 1} for point in census_characteristic_set(ground)
+        ),
+    }
+    return _report(
+        "example-4",
+        {"n": 3, "graph": g.to_json_dict()},
+        checks,
+        {"characteristic": c.to_json_dict()},
+    )
+
+
+def _example_6() -> VerificationReport:
+    ground = GroundSet.of_size(3)
+    checks = {}
+    tables = {}
+    for name, sets, expected_kappa, expected_row in _KAPPA_CASES_N3:
+        antichain = Antichain(ground, sets)
+        kappa = kappa_coefficients(antichain)
+        got = {ground.tag_key(m): v for m, v in kappa.entries}
+        tables[name] = got
+        row = char_specific_constraint(antichain)
+        got_row = (
+            {ground.tag_key(m): int(v) for m, v in row.coeffs.items()},
+            str(row.rhs),
+            row.is_vacuous,
+        )
+        checks[f"kappa_table_{name}"] = got == expected_kappa
+        checks[f"row_{name}"] = got_row == expected_row
+    return _report("example-6", {"n": 3}, checks, {"kappa_tables": tables})
+
+
+def _example_7() -> VerificationReport:
+    ground = GroundSet.of_size(3)
+    row_ab = cluster_constraint_u(ground, 3)
+    row_abc = cluster_constraint_u(ground, 7)
+    alt, satisfies_cluster, violates_nonspecific = _strictness_witness_n3(ground)
+    checks = {
+        "row_ab_matches": dict(row_ab.coeffs) == {3: 1, 7: 1}
+        and row_ab.sense == ">="
+        and row_ab.rhs == 0,
+        "row_abc_matches": dict(row_abc.coeffs) == {3: 1, 5: 1, 6: 1, 7: 2},
+        "witness_satisfies_cluster_rows": satisfies_cluster,
+        "witness_violates_nonspecific_row": violates_nonspecific,
+        "witness_is_standardized": alt.is_standardized(),
+    }
+    return _report("example-7", {"n": 3}, checks)
+
+
+_EXAMPLES = dict(enumerate((
+    _example_1, _example_2, _example_3, _example_4,
+    example5_image_check, _example_6, _example_7, example8_fractional_check,
+), start=1))
+
+
 def run_example(example_id: int) -> VerificationReport:
     """Run one of the bundled three-variable reference checks (1..8)."""
-    ground = GroundSet.of_size(3)
-    t0 = time.perf_counter()
-    if example_id == 1:
-        g = _example_graph(ground)
-        eta = eta_of(g)
-        expected = {("a", "b"), ("b", "a,c"), ("c", "∅")}
-        ones = {
-            tuple(ground.pair_key(i, b).split("|"))
-            for (i, b), v in zip(eta_pairs(ground), eta.values)
-            if v == 1
-        }
-        checks = {
-            "graph_is_cyclic": not is_acyclic(g),
-            "eta_has_exactly_three_ones": sum(eta.values) == 3
-            and set(eta.values) <= {0, 1},
-            "eta_support_matches": ones == expected,
-        }
-        report = _report(
-            "example-1",
-            {"n": 3, "graph": g.to_json_dict()},
-            checks,
-            {"eta": eta.to_json_dict()},
-        )
-    elif example_id == 2:
-        system = eta_system(ground)
-        by_family = {"nonneg": 0, "equality": 0, "cluster": 0}
-        for row in system:
-            by_family[row.tag.split(":")[0]] += 1
-        pair_ab = next(r for r in system if r.tag == "cluster:ab")
-        pair_abc = next(r for r in system if r.tag == "cluster:abc")
-        a, b, c = 0, 1, 2
-        expected_ab = {(a, 0): 1, (a, 1 << c): 1, (b, 0): 1, (b, 1 << c): 1}
-        expected_abc = {(a, 0): 1, (b, 0): 1, (c, 0): 1}
-        agree = True
-        for g in enumerate_digraphs(ground):
-            eta = eta_of(g)
-            values = dict(zip(eta_pairs(ground), eta.values))
-            if system.satisfied_by(values) != is_acyclic(g):
-                agree = False
-                break
-        checks = {
-            "twelve_nonneg_rows": by_family["nonneg"] == 12,
-            "three_equality_rows": by_family["equality"] == 3,
-            "four_cluster_rows": by_family["cluster"] == 4,
-            "cluster_ab_row_matches": dict(pair_ab.coeffs) == expected_ab
-            and pair_ab.sense == ">="
-            and pair_ab.rhs == 1,
-            "cluster_abc_row_matches": dict(pair_abc.coeffs) == expected_abc,
-            "system_characterizes_acyclicity_on_codes": agree,
-        }
-        report = _report("example-2", {"n": 3}, checks)
-    elif example_id == 3:
-        equalities = u_equality_system(ground)
-        antichains = list(enumerate_antichains(ground))
-        pairs_antichain = Antichain(ground, (3, 5, 6))
-        row = specific_constraint(pairs_antichain)
-        rays = supermodular_rays(ground, "builtin")
-        nonspec = nonspecific_constraints(ground, rays)
-        has_abc_row = any(
-            dict(r.coeffs) == {7: 1} and r.sense == ">=" and r.rhs == 0
-            for r in nonspec
-        )
-        all_structures_ok = True
-        for g in enumerate_dags(ground):
-            u = standard_imset_of(g).values
-            if not all(specific_constraint(a).holds_at(u) for a in antichains):
-                all_structures_ok = False
-                break
-            if not nonspec.satisfied_by(u):
-                all_structures_ok = False
-                break
-        checks = {
-            "four_equality_rows": len(equalities) == 4,
-            "eighteen_specific_classes": len(antichains) == 18,
-            "pairs_row_matches": dict(row.coeffs) == {3: 1, 5: 1, 6: 1, 7: 1}
-            and row.sense == "<="
-            and row.rhs == 1,
-            "five_nonspecific_rows": len(nonspec) == 5,
-            "abc_nonneg_row_present": has_abc_row,
-            "all_structures_satisfy_inequalities": all_structures_ok,
-        }
-        report = _report("example-3", {"n": 3}, checks)
-    elif example_id == 4:
-        g = _example_graph(ground)
-        c = quasi_characteristic_of(g)
-        in_unit_range = all(0 <= v <= 1 for v in c.values)
-        acyclic_unit = True
-        for dag in enumerate_dags(ground):
-            if not all(0 <= v <= 1 for v in quasi_characteristic_of(dag).values):
-                acyclic_unit = False
-                break
-        checks = {
-            "values_match": c.values == (2, 0, 1, 1),
-            "cyclic_code_leaves_unit_range": not in_unit_range,
-            "acyclic_codes_stay_in_unit_range": acyclic_unit,
-        }
-        report = _report(
-            "example-4",
-            {"n": 3, "graph": g.to_json_dict()},
-            checks,
-            {"characteristic": c.to_json_dict()},
-        )
-    elif example_id == 5:
-        report = example5_image_check(ground)
-    elif example_id == 6:
-        cases = _KAPPA_CASES_N3
-        checks = {}
-        tables = {}
-        for name, sets, expected_kappa, expected_row in cases:
-            antichain = Antichain(ground, sets)
-            kappa = kappa_coefficients(antichain)
-            got = {ground.tag_key(m): v for m, v in kappa.entries}
-            tables[name] = got
-            row = char_specific_constraint(antichain)
-            got_row = (
-                {ground.tag_key(m): int(v) for m, v in row.coeffs.items()},
-                str(row.rhs),
-                row.is_vacuous,
-            )
-            checks[f"kappa_table_{name}"] = got == expected_kappa
-            checks[f"row_{name}"] = got_row == expected_row
-        report = _report("example-6", {"n": 3}, checks, {"kappa_tables": tables})
-    elif example_id == 7:
-        row_ab = cluster_constraint_u(ground, 3)
-        row_abc = cluster_constraint_u(ground, 7)
-        alt, satisfies_cluster, violates_nonspecific = _strictness_witness_n3(ground)
-        checks = {
-            "row_ab_matches": dict(row_ab.coeffs) == {3: 1, 7: 1}
-            and row_ab.sense == ">="
-            and row_ab.rhs == 0,
-            "row_abc_matches": dict(row_abc.coeffs) == {3: 1, 5: 1, 6: 1, 7: 2},
-            "witness_satisfies_cluster_rows": satisfies_cluster,
-            "witness_violates_nonspecific_row": violates_nonspecific,
-            "witness_is_standardized": alt.is_standardized(),
-        }
-        report = _report("example-7", {"n": 3}, checks)
-    elif example_id == 8:
-        report = example8_fractional_check(ground)
-    else:
+    if example_id not in _EXAMPLES:
         raise ValueError("example id must lie in 1..8")
+    t0 = time.perf_counter()
+    report = _EXAMPLES[example_id]()
     report.wall_time_s = time.perf_counter() - t0
     return report
 

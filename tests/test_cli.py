@@ -84,6 +84,13 @@ def test_scan_with_ray_file(capsys, tmp_path):
     assert code == 0 and data["parameters"]["rays"] == 5
 
 
+def test_rays_takes_no_long_run(capsys):
+    # computed rays stop at n = 4, and no flag lifts that limit
+    with pytest.raises(SystemExit) as exc:
+        main(["rays", "--n", "5", "--method", "dd", "--long-run"])
+    assert exc.value.code == 2
+
+
 def test_compare_relaxations_command(capsys):
     code, data, _ = run_json(capsys, "compare-relaxations", "--n", "3")
     assert code == 0 and data["counts"]["leaked"] == 0
