@@ -141,17 +141,9 @@ def _cmd_census(args) -> int:
 
 def _cmd_scan(args) -> int:
     ground = _ground(args)
-    rays = None
-    if args.rays is not None:
-        rays = load_ray_file(ground, args.rays)
-    report = lattice_scan(
-        ground,
-        args.framework,
-        _families(args, args.framework),
-        _box(args, ground),
-        rays=rays,
-        long_run=args.long_run,
-    )
+    rays = None if args.rays is None else load_ray_file(ground, args.rays)
+    families = _families(args, args.framework)
+    report = lattice_scan(ground, args.framework, families, _box(args, ground), rays=rays)
     return _report_exit(report, args.out)
 
 
@@ -181,9 +173,7 @@ def _cmd_encode(args) -> int:
 
 def _cmd_constraints(args) -> int:
     ground = _ground(args)
-    rays = None
-    if args.rays is not None:
-        rays = load_ray_file(ground, args.rays)
+    rays = None if args.rays is None else load_ray_file(ground, args.rays)
     system = assemble_system(
         ground, args.framework, _families(args, args.framework), rays=rays
     )
@@ -342,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--box", choices=("01", "default"), default="default")
     p.add_argument("--rays", help="JSON ray file for the nonspecific family")
-    p.add_argument("--long-run", action="store_true", help="lift the point budget")
     add_out(p)
     p.set_defaults(func=_cmd_scan)
 

@@ -45,6 +45,12 @@ class GroundSet:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "labels", tuple(self.labels))
+        for x in self.labels:
+            # subset keys join labels with ',', pair keys split at '|', and
+            # parse_subset strips spaces and reads '' and EMPTY_KEY as the empty set
+            readable = isinstance(x, str) and x not in ("", EMPTY_KEY) and x == x.strip()
+            if not readable or "," in x or "|" in x:
+                raise ValueError(f"label {x!r} cannot be read back from a subset or pair key")
         n = len(self.labels)
         if not 2 <= n <= MAX_GROUND:
             raise ValueError(
@@ -139,11 +145,6 @@ def _ground_from_labels(labels) -> GroundSet:
     of strings: a bare string is refused, not read one label per character."""
     if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
         raise ValueError("'labels' must be a JSON array of strings")
-    for x in labels:
-        # subset keys join labels with ',', pair keys split at '|', and
-        # parse_subset strips spaces and reads '' and EMPTY_KEY as the empty set
-        if x in ("", EMPTY_KEY) or x != x.strip() or "," in x or "|" in x:
-            raise ValueError(f"label {x!r} cannot be read back from a subset or pair key")
     return GroundSet(tuple(labels))
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import lcm
+from math import lcm, prod
 
 from .constraint import (
     SENSES,
@@ -57,7 +57,7 @@ from .setfam import (
     p2_masks,
 )
 
-SCAN_BUDGET = 10**8
+SCAN_BUDGET = 3_000_000  # coordinate values the scan search may try
 PAYLOAD_LIST_CAP = 512
 
 
@@ -140,10 +140,7 @@ class EnumerationBox:
         return cls(ground, tuple(0 for _ in masks), tuple(1 for _ in masks))
 
     def volume(self) -> int:
-        v = 1
-        for lo, hi in zip(self.lower, self.upper):
-            v *= hi - lo + 1
-        return v
+        return prod(hi - lo + 1 for lo, hi in zip(self.lower, self.upper))
 
     def points(self):
         ranges = [range(lo, hi + 1) for lo, hi in zip(self.lower, self.upper)]
@@ -238,24 +235,11 @@ def _compile_rows(system: ConstraintSystem):
     return rows
 
 
-def _row_holds(terms, sense, rhs, vector) -> bool:
-    return SENSES[sense](sum(coeff * vector[k] for k, coeff in terms), rhs)
-
-
 def _first_violation(compiled, vector):
     for terms, sense, rhs, tag in compiled:
-        if not _row_holds(terms, sense, rhs, vector):
+        if not SENSES[sense](sum(coeff * vector[k] for k, coeff in terms), rhs):
             return tag
     return None
-
-
-def _split_vacuous(compiled):
-    """Split off the rows with no terms (u equalities pull back to 0 = 0):
-    returns the remaining rows and whether every term-free row holds, which
-    is the same verdict at every point."""
-    rows = [row for row in compiled if row[0]]
-    holds = all(_row_holds(*row[:3], ()) for row in compiled if not row[0])
-    return rows, holds
 
 
 def _lanes(terms, sense, rhs):
@@ -312,18 +296,17 @@ def _satisfying_points(compiled, box: EnumerationBox) -> set[tuple[int, ...]]:
     at the depth of its last coordinate in that order.  A node checks only
     its attached rows, all at once on their packed lanes, for each value of
     its coordinate; a value that fails a row is pruned with its whole
-    subtree.  Term-free rows are decided once, before the search.
+    subtree.  Term-free rows attach at depth 0.  The search refuses once it
+    has tried more than SCAN_BUDGET coordinate values in all.
     """
-    rows, vacuous_hold = _split_vacuous(compiled)
-    if not vacuous_hold:
-        return set()
     masks = p2_masks(box.ground)
     order = sorted(range(len(masks)), key=lambda k: (masks[k].bit_count(), masks[k]))
     depth_of = {k: d for d, k in enumerate(order)}
     reach = [max(-lo, hi) for lo, hi in zip(box.lower, box.upper)]
     attached = [[] for _ in order]
-    for terms, sense, rhs, _tag in rows:
-        attached[max(depth_of[k] for k, _ in terms)].extend(_lanes(terms, sense, rhs))
+    for terms, sense, rhs, _tag in compiled:
+        depth = max((depth_of[k] for k, _ in terms), default=0)
+        attached[depth].extend(_lanes(terms, sense, rhs))
     # per depth: coordinate, its range, packed earlier coordinates, packed own
     # coefficients, constant and high bits
     plan = []
@@ -335,9 +318,17 @@ def _satisfying_points(compiled, box: EnumerationBox) -> set[tuple[int, ...]]:
     point = [0] * len(masks)
     found: set[tuple[int, ...]] = set()
     leaf = len(order) - 1
+    tried = 0
 
     def visit(d: int) -> None:
+        nonlocal tried
         k, lo, hi, earlier, own, total, high = plan[d]
+        tried += hi - lo + 1
+        if tried > SCAN_BUDGET:
+            raise ValueError(
+                f"scan search passed its budget of {SCAN_BUDGET} coordinate "
+                "values tried; narrow the families or the box"
+            )
         for j, packed in earlier:
             total += point[j] * packed
         total += lo * own
@@ -364,7 +355,6 @@ def lattice_scan(
     families,
     box: EnumerationBox,
     rays=None,
-    long_run: bool = False,
 ) -> VerificationReport:
     """Find the integer characteristic points of the box satisfying every
     requested row, by a pruned depth-first search (_satisfying_points).
@@ -372,19 +362,14 @@ def lattice_scan(
     Points are built in characteristic coordinates, and 'u' rows are pulled
     back to them at compile time, so every point stands for the standard
     imset u = Moebius(1 - c), which satisfies the standardization equalities
-    by construction.  The budget bounds the box volume, not the nodes the
-    search visits; long_run lifts it.  The scan passes when the satisfying
-    set equals the census set.
+    by construction.  The budget bounds the coordinate values the search
+    tries, not the box volume.  The scan passes when the satisfying set
+    equals the census set.
     """
     t0 = time.perf_counter()
     if framework not in ("u", "c"):
         raise ValueError("lattice scans run over the 'u' or 'c' framework")
-    volume = box.volume()
-    if volume > SCAN_BUDGET and not long_run:
-        raise ValueError(
-            f"box holds {volume} points, over the budget of {SCAN_BUDGET}; "
-            "pass --long-run (long_run=True) to scan anyway"
-        )
+    rays = None if rays is None else list(rays)
     system = assemble_system(ground, framework, families, rays=rays)
     census = census_characteristic_set(ground)
     compiled = _compile_rows(system)
@@ -406,10 +391,10 @@ def lattice_scan(
             "framework": framework,
             "families": list(families),
             "box": box.to_param_dict(),
-            "rays": None if rays is None else len(list(rays)),
+            "rays": None if rays is None else len(rays),
         },
         counts={
-            "box_points": volume,
+            "box_points": box.volume(),
             "rows": len(system),
             "satisfying": len(sat_set),
             "census_classes": len(census),
@@ -440,6 +425,7 @@ def soundness_check(
     seeded sample of them for n = 5; nonspecific rows when rays are passed.
     """
     t0 = time.perf_counter()
+    rays = None if rays is None else list(rays)
     rows: list[LinearConstraint] = list(u_equality_system(ground).rows)
     antichains = list(enumerate_antichains(ground))
     sampled = len(antichains) > specific_sample and ground.n >= 5
@@ -454,10 +440,6 @@ def soundness_check(
         rows.extend(nonspecific_constraints(ground, rays).rows)
     system = ConstraintSystem(ground, "u", tuple(rows))
     compiled = _compile_rows(system)
-    live, vacuous_hold = _split_vacuous(compiled)
-    if vacuous_hold:
-        # rows that hold everywhere can be the first violated row nowhere
-        compiled = live
     points = sorted(census_characteristic_set(ground))
     reach = [max(abs(x) for x in column) for column in zip(*points)]
     lanes = [lane for row in compiled for lane in _lanes(*row[:3])]
@@ -482,7 +464,7 @@ def soundness_check(
             "specific_rows": "sampled" if sampled else "all",
             "specific_sample": specific_sample if sampled else len(antichains),
             "seed": seed,
-            "rays": None if rays is None else len(list(rays)),
+            "rays": None if rays is None else len(rays),
         },
         counts={"structures": checked, "rows": len(system)},
         witnesses=witnesses,

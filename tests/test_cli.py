@@ -91,6 +91,13 @@ def test_rays_takes_no_long_run(capsys):
     assert exc.value.code == 2
 
 
+def test_scan_takes_no_long_run(capsys):
+    # the scan budget counts the values the search tries, and no flag lifts it
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--n", "3", "--framework", "c", "--long-run"])
+    assert exc.value.code == 2
+
+
 def test_compare_relaxations_command(capsys):
     code, data, _ = run_json(capsys, "compare-relaxations", "--n", "3")
     assert code == 0 and data["counts"]["leaked"] == 0

@@ -46,7 +46,6 @@ from imsetpoly.encode import (
 from imsetpoly.setfam import (
     Antichain,
     GroundSet,
-    bits_of,
     enumerate_antichains,
     eta_pairs,
     p1_masks,

@@ -24,7 +24,7 @@ from imsetpoly.encode import (
     u_from_characteristic,
     u_from_eta,
 )
-from imsetpoly.setfam import GroundSet, bits_of, eta_pairs, p2_masks, pair_index
+from imsetpoly.setfam import GroundSet, eta_pairs, p2_masks
 
 
 def example_graph(ground):

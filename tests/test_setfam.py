@@ -75,6 +75,17 @@ def test_ground_set_validation():
             GroundSet.of_size(n)
 
 
+def test_ground_set_refuses_labels_keys_cannot_carry():
+    # built from Python, not only through a JSON loader: "a,b" would make the
+    # key of {a,b, c} read "a,b,c", which names an unknown label "a"
+    for labels in (("a,b", "c"), ("a|b", "c"), ("", "b"), ("∅", "b"), (" a", "b"), ("a", 1)):
+        with pytest.raises(ValueError, match="cannot be read back from a subset or pair key"):
+            GroundSet(labels)
+    g = GroundSet(("x1", "long name"))
+    assert g.parse_subset(g.subset_key(3)) == 3
+    assert g.parse_pair(g.pair_key(1, 1)) == (1, 1)
+
+
 def test_subset_key_round_trip():
     for n in (3, 4):
         g = GroundSet.of_size(n)

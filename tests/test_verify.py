@@ -153,13 +153,23 @@ def test_scan_records_witnesses_when_rows_are_too_weak():
     assert kinds == {"satisfies_rows_but_not_a_structure"}
 
 
-def test_scan_budget_refusal_and_override(monkeypatch):
+def test_scan_budget_counts_values_tried(monkeypatch):
+    # the budget counts the coordinate values the search tries, not the box
+    # points: the n = 4 default box holds 25 920 points, the search tries 2 341
     monkeypatch.setattr(verify, "SCAN_BUDGET", 10)
-    box = EnumerationBox.default(G3)
-    with pytest.raises(ValueError, match="budget.*--long-run"):
-        lattice_scan(G3, "c", C_DEFAULT, box)
-    report = lattice_scan(G3, "c", C_DEFAULT, box, long_run=True)
-    assert report.passed
+    with pytest.raises(ValueError, match="budget of 10 .*narrow the families or the box"):
+        lattice_scan(G3, "c", C_DEFAULT, EnumerationBox.default(G3))
+    with pytest.raises(ValueError, match="budget of 10 "):
+        relaxation_comparison(G3)
+    box = EnumerationBox.default(G4)
+    monkeypatch.setattr(verify, "SCAN_BUDGET", 10_000)
+    report = lattice_scan(G4, "c", C_DEFAULT, box)
+    assert report.passed and report.counts["box_points"] == 25920
+    monkeypatch.setattr(verify, "SCAN_BUDGET", 2341)
+    assert lattice_scan(G4, "c", C_DEFAULT, box).passed
+    monkeypatch.setattr(verify, "SCAN_BUDGET", 2340)
+    with pytest.raises(ValueError, match="budget of 2340 "):
+        lattice_scan(G4, "c", C_DEFAULT, box)
 
 
 def test_scan_rejects_unknown_framework():
@@ -275,7 +285,9 @@ def test_pruned_search_far_from_zero():
     }
 
 
-def test_term_free_rows_are_decided_once():
+def test_term_free_rows_ride_the_lanes():
+    # a row with no terms attaches at depth 0: one that holds keeps every
+    # point, one that fails empties the result
     from imsetpoly.verify import _satisfying_points
 
     box = EnumerationBox.zero_one(G3)
@@ -283,7 +295,9 @@ def test_term_free_rows_are_decided_once():
     kept = _satisfying_points([row], box)
     assert len(kept) == 12
     assert _satisfying_points([((), "=", 0, "vacuous"), row], box) == kept
+    assert _satisfying_points([row, ((), "<=", Fraction(1, 2), "half")], box) == kept
     assert _satisfying_points([((), ">=", 1, "false"), row], box) == set()
+    assert _satisfying_points([row, ((), "=", Fraction(-1, 3), "third")], box) == set()
 
 
 def test_scan_report_is_deterministic():
@@ -310,6 +324,20 @@ def test_soundness_with_rays():
 
     report = soundness_check(G3, rays=supermodular_rays(G3, "builtin"))
     assert report.passed and report.counts["rows"] == 4 + 18 + 4 + 5
+
+
+def test_rays_may_be_an_iterator():
+    # the report counts the rays it used, even when they came as an iterator
+    from imsetpoly.constraint import supermodular_rays
+
+    rays = supermodular_rays(G3, "builtin")
+    box = EnumerationBox.zero_one(G3)
+    scan = lattice_scan(G3, "u", U_DEFAULT, box, rays=iter(rays))
+    assert scan.passed and scan.parameters["rays"] == 5
+    assert scan.to_json() == lattice_scan(G3, "u", U_DEFAULT, box, rays=rays).to_json()
+    report = soundness_check(G3, rays=iter(rays))
+    assert report.passed and report.parameters["rays"] == 5
+    assert report.counts["rows"] == 4 + 18 + 4 + 5
 
 
 def test_soundness_witnesses_name_the_first_violated_row(monkeypatch):
