@@ -4,9 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import getitem
 from typing import Iterator, Sequence
 
-from .setfam import GroundSet, _ground_from_labels, bits_of, p2_index, p2_masks
+from .setfam import GroundSet, _ground_from_labels, bits_of, p2_index
 
 
 @dataclass(frozen=True)
@@ -19,12 +20,16 @@ class DirectedGraph:
 
     def __post_init__(self) -> None:
         parents = tuple(self.parents)
-        if len(parents) != self.ground.n:
+        ground = self.ground
+        n = ground.n
+        if len(parents) != n:
             raise ValueError("need one parent mask per ground-set variable")
+        full = (1 << n) - 1
         for i, p in enumerate(parents):
-            self.ground.check_mask(p)
-            if p & (1 << i):
-                raise ValueError(f"node {self.ground.labels[i]} lists itself as a parent")
+            if not 0 <= p <= full:
+                ground.check_mask(p)
+            if p >> i & 1:
+                raise ValueError(f"node {ground.labels[i]} lists itself as a parent")
         object.__setattr__(self, "parents", parents)
 
     @classmethod
@@ -104,47 +109,70 @@ def _prefix_acyclic(parents: Sequence[int], k: int) -> bool:
 
 
 def enumerate_dags(ground: GroundSet) -> Iterator[DirectedGraph]:
-    """All acyclic directed graphs, by per-node parent-set recursion with
-    pruning of cyclic prefixes.  Refuses n >= 6."""
-    if ground.n >= 6:
-        raise ValueError("acyclic enumeration is limited to n <= 5")
+    """All acyclic directed graphs (3 781 503 at n = 6), by per-node
+    parent-set recursion.  Node i is offered only parent sets that avoid its
+    descendants among nodes 0..i-1, so no cyclic prefix is ever built; the
+    order is that of the acyclic digraphs in enumerate_digraphs."""
     yield from _parent_set_recursion(ground, acyclic=True)
 
 
 def _parent_set_recursion(ground: GroundSet, acyclic: bool) -> Iterator[DirectedGraph]:
-    # choose the parent set of node 0, then node 1, ...; with acyclic set, a
-    # prefix whose first nodes already close a cycle is cut with its subtree
+    # choose the parent set of node 0, then node 1, ..., each over the
+    # submasks of the nodes it may have as parents, ascending.  With acyclic
+    # set, desc[j] holds the descendants of j through arrows among the nodes
+    # chosen so far, and node i may not take as a parent a chosen child of
+    # its own or a descendant of one: those are exactly the cyclic choices.
     n = ground.n
+    full = ground.full_mask
 
-    def rec(i: int, parents: list[int]) -> Iterator[DirectedGraph]:
-        if i == n:
-            yield DirectedGraph(ground, tuple(parents))
-            return
-        others = ground.full_mask & ~(1 << i)
+    def rec(i: int, parents: tuple[int, ...], desc: tuple[int, ...]) -> Iterator[DirectedGraph]:
+        below = 0
+        if acyclic:
+            for j, (p, d) in enumerate(zip(parents, desc)):
+                if p >> i & 1:
+                    below |= 1 << j | d
+        allowed = full & ~(1 << i) & ~below
         sub = 0
         while True:
-            parents.append(sub)
-            if not acyclic or _prefix_acyclic(parents, i + 1):
-                yield from rec(i + 1, parents)
-            parents.pop()
-            if sub == others:
+            if i == n - 1:
+                yield DirectedGraph(ground, parents + (sub,))
+            else:
+                # i and its descendants become descendants of i's ancestors
+                reach = 1 << i | below
+                grown = tuple(
+                    d | reach if sub >> j & 1 or d & sub else d for j, d in enumerate(desc)
+                )
+                yield from rec(i + 1, parents + (sub,), grown + (below,))
+            if sub == allowed:
                 break
-            sub = (sub - others) & others
+            sub = (sub - allowed) & allowed
 
-    yield from rec(0, [])
+    yield from rec(0, (), ())
 
 
 @lru_cache(maxsize=None)
-def _super_terminal_table(ground: GroundSet) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    # table[i][p]: positions in p2_masks of all {i} + T, T a non-empty subset of p
+def _super_terminal_table(ground: GroundSet) -> tuple[tuple[int, ...], ...]:
+    # table[i][p]: one byte lane per subset with >= 2 members, the first in
+    # the highest byte, holding 1 for each {i} + T, T a non-empty subset of p.
+    # A sum over the nodes counts at most n <= 6 per lane, so lanes never
+    # carry, and packed sums compare like the tuples of their lanes.
     index = p2_index(ground)
+    top = len(index) - 1
     return tuple(
         tuple(
-            tuple(index[t | 1 << i] for t in range(1, p + 1) if t & p == t and not t >> i & 1)
+            sum(
+                1 << 8 * (top - index[t | 1 << i])
+                for t in range(1, p + 1)
+                if t & p == t and not t >> i & 1
+            )
             for p in range(1 << ground.n)
         )
         for i in range(ground.n)
     )
+
+
+def _unpack_counts(ground: GroundSet, packed: int) -> tuple[int, ...]:
+    return tuple(packed.to_bytes(len(p2_index(ground)), "big"))
 
 
 def super_terminal_counts(ground: GroundSet, parents: Sequence[int]) -> tuple[int, ...]:
@@ -153,11 +181,7 @@ def super_terminal_counts(ground: GroundSet, parents: Sequence[int]) -> tuple[in
 
     On an acyclic graph these are its characteristic imset values.
     """
-    counts = [0] * len(p2_masks(ground))
-    for row, p in zip(_super_terminal_table(ground), parents):
-        for k in row[p]:
-            counts[k] += 1
-    return tuple(counts)
+    return _unpack_counts(ground, sum(map(getitem, _super_terminal_table(ground), parents)))
 
 
 def super_terminal_count(g: DirectedGraph, s: int) -> int:

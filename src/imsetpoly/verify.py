@@ -17,6 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import lcm, prod
+from operator import getitem
 
 from .constraint import (
     SENSES,
@@ -37,10 +38,11 @@ from .constraint import (
 )
 from .digraph import (
     DirectedGraph,
+    _super_terminal_table,
+    _unpack_counts,
     enumerate_dags,
     enumerate_digraphs,
     is_acyclic,
-    super_terminal_counts,
 )
 from .encode import (
     StandardImset,
@@ -160,12 +162,14 @@ class EnumerationBox:
 @lru_cache(maxsize=None)
 def _census_data(ground: GroundSet) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """DAG count and the sorted, deduplicated characteristic tuples."""
-    seen: set[tuple[int, ...]] = set()
+    # packed counts sort like their tuples, so only the classes are unpacked
+    table = _super_terminal_table(ground)
+    seen: set[int] = set()
     count = 0
     for g in enumerate_dags(ground):
-        seen.add(super_terminal_counts(ground, g.parents))
+        seen.add(sum(map(getitem, table, g.parents)))
         count += 1
-    return count, tuple(sorted(seen))
+    return count, tuple(_unpack_counts(ground, v) for v in sorted(seen))
 
 
 def census_characteristic_set(ground: GroundSet) -> frozenset[tuple[int, ...]]:
@@ -187,7 +191,7 @@ def census_equivalence_classes(ground: GroundSet) -> VerificationReport:
         passed=True,
         payload={
             "coordinates": [ground.subset_key(m) for m in p2_masks(ground)],
-            "class_points": [list(v) for v in classes],
+            "class_points": list(classes),
         },
     )
     report.wall_time_s = time.perf_counter() - t0
@@ -369,6 +373,8 @@ def lattice_scan(
     t0 = time.perf_counter()
     if framework not in ("u", "c"):
         raise ValueError("lattice scans run over the 'u' or 'c' framework")
+    if ground.n >= 6:
+        raise ValueError("lattice scans are limited to n <= 5")
     rays = None if rays is None else list(rays)
     system = assemble_system(ground, framework, families, rays=rays)
     census = census_characteristic_set(ground)

@@ -1,5 +1,6 @@
 """Digraphs, acyclicity, enumeration, and super-terminal counts."""
 
+import random
 from math import comb
 
 import pytest
@@ -96,12 +97,12 @@ def test_enumerate_digraphs_refuses_large_n():
 
 
 def test_enumerate_dags_against_filter_oracle():
-    for n in (2, 3):
+    # same graphs in the same order: the recursion skips exactly the cyclic
+    # parent sets, which is_acyclic finds by its own peeling route
+    for n in (2, 3, 4):
         g = GroundSet.of_size(n)
-        direct = {h.parents for h in enumerate_dags(g)}
-        filtered = {
-            h.parents for h in enumerate_digraphs(g) if is_acyclic(h)
-        }
+        direct = [h.parents for h in enumerate_dags(g)]
+        filtered = [h.parents for h in enumerate_digraphs(g) if is_acyclic(h)]
         assert direct == filtered
 
 
@@ -133,6 +134,22 @@ def test_super_terminal_count_definition():
             assert super_terminal_count(graph, s) == count
     with pytest.raises(ValueError):
         super_terminal_count(next(enumerate_digraphs(g)), 1)
+
+
+def test_super_terminal_counts_at_n6():
+    # on the complete digraph c(S) = |S| reaches 6, the largest count a lane holds
+    g = GroundSet.of_size(6)
+    rng = random.Random(6)
+    graphs = [tuple(g.full_mask & ~(1 << i) for i in range(6))] + [
+        tuple(rng.getrandbits(6) & ~(1 << i) for i in range(6)) for _ in range(200)
+    ]
+    for parents in graphs:
+        expected = tuple(
+            sum(1 for i in bits_of(s) if (s & ~(1 << i)) & ~parents[i] == 0)
+            for s in p2_masks(g)
+        )
+        assert super_terminal_counts(g, parents) == expected
+    assert super_terminal_counts(g, graphs[0]) == tuple(s.bit_count() for s in p2_masks(g))
 
 
 def test_acyclic_super_terminal_at_most_one():

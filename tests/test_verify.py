@@ -9,7 +9,8 @@ from fractions import Fraction
 import pytest
 
 from imsetpoly import verify
-from imsetpoly.setfam import GroundSet
+from imsetpoly.digraph import enumerate_dags
+from imsetpoly.setfam import GroundSet, bits_of, p2_masks
 from imsetpoly.verify import (
     EnumerationBox,
     FACET_TYPES_N3,
@@ -94,11 +95,26 @@ def test_census_report_is_deterministic():
     )
 
 
+def test_census_classes_sorted_as_tuples():
+    # the census sorts packed ints; the decoded tuples must come out in
+    # tuple order, one per class, each the 0/1 rule on some DAG
+    classes = verify._census_data(G5)[1]
+    assert list(classes) == sorted(set(classes))
+    masks = p2_masks(G5)
+    assert set(classes) == {
+        tuple(
+            int(any(s & ~(1 << i) & ~g.parents[i] == 0 for i in bits_of(s)))
+            for s in masks
+        )
+        for g in enumerate_dags(G5)
+    }
+
+
 def test_census_class_payload():
     report = census_equivalence_classes(G3)
     classes = report.payload["class_points"]
     assert len(classes) == 11
-    assert [0, 0, 0, 0] in classes
+    assert (0, 0, 0, 0) in classes
     assert report.payload["coordinates"] == ["a,b", "a,c", "b,c", "a,b,c"]
 
 
