@@ -416,7 +416,9 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, RuntimeError) as exc:
+        # RuntimeError covers ConeViolationError: exit 1 means a failed
+        # verification with a witness, never a crash
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .encode import semi_elementary_imset
+from .encode import semi_elementary_imset, superset_moebius
 from .exactlin import _rational_inverse, _row_rank
 from .setfam import (
     Antichain,
@@ -24,17 +24,27 @@ from .setfam import (
     _integer_entries,
     _rational_entries,
     bits_of,
-    enumerate_antichains,
     eta_pairs,
     minimal_sets,
     p1_masks,
     p2_masks,
+    subset_key_table,
     superset_closure,
+    tag_key_table,
     union_closure_class,
+    walk_antichains,
 )
 
 # a row with sense s holds when SENSES[s](lhs, rhs)
 SENSES = {">=": operator.ge, "<=": operator.le, "=": operator.eq}
+
+# one shared Fraction per small integer: catalog rows hold little else
+_SMALL_FRACTIONS = {k: Fraction(k) for k in range(-16, 17)}
+
+
+def _fraction(value) -> Fraction:
+    shared = _SMALL_FRACTIONS.get(value)
+    return Fraction(value) if shared is None else shared
 
 
 class ConeViolationError(RuntimeError):
@@ -60,9 +70,9 @@ class LinearConstraint:
             raise ValueError(f"unknown framework {self.framework!r}")
         if self.sense not in SENSES:
             raise ValueError(f"unknown sense {self.sense!r}")
-        cleaned = {k: Fraction(v) for k, v in dict(self.coeffs).items() if v}
+        cleaned = {k: _fraction(v) for k, v in dict(self.coeffs).items() if v}
         object.__setattr__(self, "coeffs", cleaned)
-        object.__setattr__(self, "rhs", Fraction(self.rhs))
+        object.__setattr__(self, "rhs", _fraction(self.rhs))
 
     def __hash__(self) -> int:
         # coeffs is a dict; hash its items in key order so equal rows agree
@@ -110,20 +120,23 @@ class ConstraintSystem:
     def satisfied_by(self, values) -> bool:
         return all(row.holds_at(values) for row in self.rows)
 
-    def _render_key(self, key) -> str:
+    def _key_renderer(self) -> Callable:
+        ground = self.ground
         if self.framework == "eta":
-            return self.ground.pair_key(*key)
-        return self.ground.subset_key(key)
+            return lambda key: ground.pair_key(*key)
+        table = subset_key_table(ground)
+        size = len(table)
+        # an out-of-range mask goes to subset_key, which refuses it
+        return lambda key: table[key] if 0 <= key < size else ground.subset_key(key)
 
     def to_json_dict(self) -> dict:
+        render = self._key_renderer()
         rows = []
         for row in self.rows:
             rows.append(
                 {
                     "tag": row.tag,
-                    "coeffs": {
-                        self._render_key(k): str(v) for k, v in sorted_items(row.coeffs)
-                    },
+                    "coeffs": {render(k): str(v) for k, v in sorted_items(row.coeffs)},
                     "sense": row.sense,
                     "rhs": str(row.rhs),
                 }
@@ -319,6 +332,34 @@ def char_specific_constraint(antichain: Antichain) -> LinearConstraint:
     return LinearConstraint(
         "c", coeffs, ">=", rhs, f"kappa-specific:{antichain.tag()}"
     )
+
+
+def specific_rows(ground: GroundSet, family: str, walk=None) -> Iterator[LinearConstraint]:
+    """The 'specific' (u) or 'kappa-specific' (c) row of every antichain in
+    walk, a sequence of walk_antichains items (by default the whole walk),
+    built from its closure bitset without an Antichain object.
+
+    The u row is the indicator of the superset closure.  The kappa vector is
+    the subset-Moebius transform of that indicator,
+    kappa(S) = sum over T inside S of (-1)^|S - T| [T in closure]; its
+    entries on subsets of fewer than two members move to the right-hand
+    side.  Rows equal specific_constraint and char_specific_constraint.
+    """
+    if family not in ("specific", "kappa-specific"):
+        raise ValueError(f"unknown specific family {family!r}")
+    n = ground.n
+    masks = p2_masks(ground)
+    tags = tag_key_table(ground)
+    for sets, closure in walk_antichains(ground) if walk is None else walk:
+        tag = f"{family}:" + ",".join([tags[s] for s in sets])
+        if family == "specific":
+            yield LinearConstraint("u", dict.fromkeys(bits_of(closure), 1), "<=", 1, tag)
+            continue
+        indicator = [closure >> t & 1 for t in range(1 << n)]
+        kappa = superset_moebius(indicator[::-1], n)[::-1]
+        coeffs = {m: kappa[m] for m in masks if kappa[m]}
+        rhs = -sum(kappa[1 << i] for i in range(n))
+        yield LinearConstraint("c", coeffs, ">=", rhs, tag)
 
 
 def cluster_constraint_c(ground: GroundSet, c: int) -> LinearConstraint:
@@ -781,8 +822,7 @@ def assemble_system(
             if family == "equality":
                 rows.extend(u_equality_system(ground).rows)
             elif family == "specific":
-                for antichain in enumerate_antichains(ground):
-                    rows.append(specific_constraint(antichain))
+                rows.extend(specific_rows(ground, family))
             elif family == "nonspecific":
                 if rays is None:
                     source = "builtin" if ground.n == 3 else "computed"
@@ -797,8 +837,7 @@ def assemble_system(
     if framework == "c":
         for family in families:
             if family == "kappa-specific":
-                for antichain in enumerate_antichains(ground):
-                    rows.append(char_specific_constraint(antichain))
+                rows.extend(specific_rows(ground, family))
             elif family == "cluster-c":
                 for c in p2_masks(ground):
                     rows.append(cluster_constraint_c(ground, c))

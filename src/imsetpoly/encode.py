@@ -15,6 +15,7 @@ eta entries sum to one per variable (every graph code does).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .digraph import DirectedGraph, is_acyclic, super_terminal_counts
 from .setfam import (
@@ -29,14 +30,23 @@ from .setfam import (
 )
 
 
+@lru_cache(maxsize=None)
+def _butterfly_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """(S, S+b) for every variable b and every S without it, pass by pass."""
+    return tuple(
+        (s, s | 1 << b) for b in range(n) for s in range(1 << n) if not s >> b & 1
+    )
+
+
 def _superset_butterfly(values: list, n: int, sign: int) -> list:
     # one pass per variable adds sign times the entry of S+b into S
     v = list(values)
-    for b in range(n):
-        bit = 1 << b
-        for s in range(1 << n):
-            if not s & bit:
-                v[s] += sign * v[s | bit]
+    if sign > 0:
+        for s, t in _butterfly_pairs(n):
+            v[s] += v[t]
+    else:
+        for s, t in _butterfly_pairs(n):
+            v[s] -= v[t]
     return v
 
 

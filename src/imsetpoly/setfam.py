@@ -90,9 +90,7 @@ class GroundSet:
     def subset_key(self, mask: int) -> str:
         """Serialize a subset as its sorted labels joined by commas."""
         self.check_mask(mask)
-        if mask == 0:
-            return EMPTY_KEY
-        return ",".join(sorted(self.labels[i] for i in bits_of(mask)))
+        return subset_key_table(self)[mask]
 
     def parse_subset(self, key: str) -> int:
         key = key.strip()
@@ -135,9 +133,27 @@ class GroundSet:
     def tag_key(self, mask: int) -> str:
         """Compact subset rendering for constraint tags (labels concatenated)."""
         self.check_mask(mask)
-        if mask == 0:
-            return EMPTY_KEY
-        return "".join(self.labels[i] for i in bits_of(mask))
+        return tag_key_table(self)[mask]
+
+
+@lru_cache(maxsize=None)
+def subset_key_table(ground: GroundSet) -> tuple[str, ...]:
+    """subset_key of every subset, indexed by mask: the labels sorted as
+    strings and joined by commas."""
+    labels = ground.labels
+    return (EMPTY_KEY,) + tuple(
+        ",".join(sorted(labels[i] for i in bits_of(m))) for m in range(1, 1 << ground.n)
+    )
+
+
+@lru_cache(maxsize=None)
+def tag_key_table(ground: GroundSet) -> tuple[str, ...]:
+    """tag_key of every subset, indexed by mask: the labels in bit order,
+    concatenated."""
+    labels = ground.labels
+    return (EMPTY_KEY,) + tuple(
+        "".join(labels[i] for i in bits_of(m)) for m in range(1, 1 << ground.n)
+    )
 
 
 def _ground_from_labels(labels) -> GroundSet:
@@ -317,33 +333,47 @@ def minimal_sets(cls: SetClass) -> Antichain:
     return Antichain(cls.ground, tuple(mins))
 
 
-def enumerate_antichains(ground: GroundSet) -> Iterator[Antichain]:
-    """Stream every non-empty antichain of non-empty subsets.
+@lru_cache(maxsize=None)
+def _superset_bits(n: int) -> tuple[int, ...]:
+    """up[m]: the supersets of m as a 2**n-bit int, bit t standing for
+    subset t."""
+    size = 1 << n
+    return tuple(sum(1 << t for t in range(size) if t & m == m) for m in range(size))
 
-    Backtracking over non-empty subsets in ascending mask order; each
-    partial choice is extended only with later, incomparable sets, so each
+
+def walk_antichains(ground: GroundSet) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Stream every non-empty antichain of non-empty subsets as (sets,
+    closure): its members ascending, and its superset closure as a 2**n-bit
+    int with bit t set when subset t contains a member.
+
+    Backtracking over non-empty subsets in ascending mask order; a partial
+    choice is extended only with later sets outside the closure of its
+    members (a later mask is never a subset of an earlier one), so each
     antichain appears exactly once.  Refuses n >= 6 (7.8 M antichains).
     """
     if ground.n >= 6:
         raise ValueError("antichain enumeration is limited to n <= 5")
-    masks = p1_masks(ground)
+    up = _superset_bits(ground.n)
 
-    def extend(chosen: list[int], start: int) -> Iterator[Antichain]:
-        for k in range(start, len(masks)):
-            cand = masks[k]
-            ok = True
-            for s in chosen:
-                if s & cand == s or s & cand == cand:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            chosen.append(cand)
-            yield Antichain(ground, tuple(chosen))
-            yield from extend(chosen, k + 1)
-            chosen.pop()
+    def extend(chosen, free, closure):
+        # free: the later sets comparable to no chosen member, as a bitset
+        while free:
+            low = free & -free
+            free ^= low
+            cand = low.bit_length() - 1
+            sets = chosen + (cand,)
+            grown = closure | up[cand]
+            yield sets, grown
+            yield from extend(sets, free & ~grown, grown)
 
-    yield from extend([], 0)
+    yield from extend((), (1 << (1 << ground.n)) - 2, 0)
+
+
+def enumerate_antichains(ground: GroundSet) -> Iterator[Antichain]:
+    """Every antichain of walk_antichains, in its order, as a validated
+    Antichain.  Refuses n >= 6."""
+    for sets, _ in walk_antichains(ground):
+        yield Antichain(ground, sets)
 
 
 def union_closure_class(antichain: Antichain) -> SetClass:

@@ -33,6 +33,7 @@ from .constraint import (
     kappa_coefficients,
     nonspecific_constraints,
     specific_constraint,
+    specific_rows,
     supermodular_rays,
     u_equality_system,
 )
@@ -57,6 +58,7 @@ from .setfam import (
     enumerate_antichains,
     eta_pairs,
     p2_masks,
+    walk_antichains,
 )
 
 SCAN_BUDGET = 3_000_000  # coordinate values the scan search may try
@@ -433,13 +435,12 @@ def soundness_check(
     t0 = time.perf_counter()
     rays = None if rays is None else list(rays)
     rows: list[LinearConstraint] = list(u_equality_system(ground).rows)
-    antichains = list(enumerate_antichains(ground))
+    antichains = list(walk_antichains(ground))
     sampled = len(antichains) > specific_sample and ground.n >= 5
     if sampled:
         rng = random.Random(seed)
         antichains = rng.sample(antichains, specific_sample)
-    for antichain in antichains:
-        rows.append(specific_constraint(antichain))
+    rows.extend(specific_rows(ground, "specific", antichains))
     for c in p2_masks(ground):
         rows.append(cluster_constraint_u(ground, c))
     if rays is not None:
@@ -730,7 +731,7 @@ def example8_fractional_check() -> VerificationReport:
     point = {m: Fraction(1) for m in p2_masks(ground)}
     point[full] = Fraction(3, 2)
     witnesses = []
-    rows = [char_specific_constraint(a) for a in enumerate_antichains(ground)]
+    rows = list(specific_rows(ground, "kappa-specific"))
     rows += [cluster_constraint_c(ground, c) for c in p2_masks(ground)]
     ok_rows = True
     for row in rows:

@@ -1,11 +1,13 @@
 """Command-line interface: exit codes, output formats, and file round trips."""
 
+import hashlib
 import json
 
 import pytest
 
+from imsetpoly import cli
 from imsetpoly.cli import main
-from imsetpoly.constraint import load_ray_file, y_of_class
+from imsetpoly.constraint import ConeViolationError, load_ray_file, y_of_class
 from imsetpoly.setfam import Antichain, GroundSet
 
 G3 = GroundSet.of_size(3)
@@ -202,6 +204,23 @@ def test_constraints_lp(capsys):
     assert "Subject To" in out and "cluster_abc:" in out
 
 
+# sha256 of the stdout of the two n = 5 catalogs (7 579 specific-type rows
+# each), recorded before their rows were built from the mask-level walk
+N5_CATALOG_DIGESTS = {
+    "constraints --n 5 --framework c":
+        "9f299e296cc01149140cd96b0db03cf3972fc730acf713a67ef33b4dd4e08da9",
+    "constraints --n 5 --framework u --families equality,specific,cluster-u":
+        "18e93bdba96b9c5ef8a585672b06c4c7a2b6026c1b7f549e3135a481c978e826",
+}
+
+
+@pytest.mark.parametrize("command", sorted(N5_CATALOG_DIGESTS))
+def test_n5_catalog_digest(capsys, command):
+    code, out, _ = run(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == N5_CATALOG_DIGESTS[command]
+
+
 def test_matrix_json_and_csv(capsys):
     code, data, _ = run_json(capsys, "matrix", "--which", "D", "--n", "3")
     assert code == 0
@@ -259,3 +278,18 @@ def test_decompose_outside_cone(capsys, tmp_path):
     )
     code, data, _ = run_json(capsys, "decompose", "--y", path)
     assert code == 1 and data == {"in_cone": False, "terms": []}
+
+
+def test_runtime_error_exits_two_with_one_line(capsys, monkeypatch, tmp_path):
+    # a residual leaving the cone is a program fault, not a failed
+    # verification: one error line and exit 2, no traceback and no exit 1
+    def broken(y):
+        raise ConeViolationError("residual left the dual cone")
+
+    monkeypatch.setattr(cli, "conic_decompose", broken)
+    y = y_of_class(Antichain(G3, (3, 5)))
+    path = write_json(tmp_path / "y.json", y.to_json_dict())
+    code, out, err = run(capsys, "decompose", "--y", path)
+    assert code == 2 and out == ""
+    errors = [line for line in err.splitlines() if not line.startswith("elapsed ")]
+    assert errors == ["error: residual left the dual cone"]

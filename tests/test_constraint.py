@@ -28,6 +28,7 @@ from imsetpoly.constraint import (
     pairing,
     save_ray_file,
     specific_constraint,
+    specific_rows,
     SupermodularFunction,
     supermodular_rays,
     u_equality_system,
@@ -37,6 +38,7 @@ from imsetpoly.digraph import enumerate_dags, enumerate_digraphs, is_acyclic
 from imsetpoly.encode import (
     CharacteristicImset,
     char_from_eta,
+    superset_moebius,
     eta_of,
     portrait_of,
     standard_imset_of,
@@ -52,6 +54,7 @@ from imsetpoly.setfam import (
     p2_masks,
     superset_closure,
     union_closure_class,
+    walk_antichains,
 )
 
 G3 = GroundSet.of_size(3)
@@ -124,6 +127,22 @@ def test_system_json_uses_rational_strings():
     assert data["framework"] == "u"
     assert data["rows"][0]["coeffs"] == {"a,b": "1/2"}
     assert data["rows"][0]["rhs"] == "3/2"
+
+
+def test_system_json_refuses_an_out_of_range_mask():
+    for mask in (-1, 8):
+        row = LinearConstraint("u", {3: 1, mask: 1}, ">=", 0, "bad")
+        system = ConstraintSystem(G3, "u", (row,))
+        with pytest.raises(ValueError, match=rf"^mask {mask} outside the 3-variable universe$"):
+            system.to_json_dict()
+
+
+def test_shared_fractions_keep_value_and_type():
+    row = LinearConstraint("u", {1: 2, 2: Fraction(-3), 3: True, 4: 40, 5: "7/2"}, "<=", 1, "t")
+    assert row.coeffs == {1: 2, 2: -3, 3: 1, 4: 40, 5: Fraction(7, 2)}
+    assert all(type(v) is Fraction for v in [*row.coeffs.values(), row.rhs])
+    with pytest.raises(TypeError):
+        LinearConstraint("u", {1: [1]}, "<=", 1, "t")
 
 
 def test_lp_export_declares_variables_free():
@@ -299,6 +318,34 @@ def test_kappa_reference_tables():
         assert {G3.tag_key(m): int(v) for m, v in row.coeffs.items()} == row_coeffs
         assert row.rhs == rhs and row.sense == ">="
         assert row.is_vacuous == vacuous
+
+
+def test_walk_rows_equal_the_per_antichain_rows():
+    for n in (2, 3, 4, 5):
+        g = GroundSet.of_size(n)
+        walk = list(walk_antichains(g))
+        u_rows = list(specific_rows(g, "specific", walk))
+        c_rows = list(specific_rows(g, "kappa-specific", walk))
+        assert len(u_rows) == len(c_rows) == len(walk)
+        for (sets, closure), u_row, c_row in zip(walk, u_rows, c_rows):
+            antichain = Antichain(g, sets)
+            assert u_row == specific_constraint(antichain)
+            assert c_row == char_specific_constraint(antichain)
+            for row in (u_row, c_row):
+                assert all(type(v) is Fraction for v in row.coeffs.values())
+                assert type(row.rhs) is Fraction
+            # the subset-Moebius transform of the closure indicator is the
+            # kappa vector of the recursion over the union closure
+            indicator = [closure >> t & 1 for t in range(1 << n)]
+            kappa = superset_moebius(indicator[::-1], n)[::-1]
+            assert {m: v for m, v in enumerate(kappa) if v} == {
+                m: v for m, v in kappa_coefficients(antichain).entries if v
+            }
+    assert list(specific_rows(G3, "kappa-specific")) == [
+        char_specific_constraint(a) for a in enumerate_antichains(G3)
+    ]
+    with pytest.raises(ValueError, match="unknown specific family"):
+        next(specific_rows(G3, "cluster-u"))
 
 
 def test_specific_and_kappa_rows_agree_exhaustive_n3():

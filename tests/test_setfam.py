@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 
 from imsetpoly.setfam import (
+    EMPTY_KEY,
     Antichain,
     GroundSet,
     SetClass,
@@ -19,9 +20,12 @@ from imsetpoly.setfam import (
     pair_index,
     power_class,
     squeeze_bit,
+    subset_key_table,
     superset_closure,
+    tag_key_table,
     union_closure_class,
     unsqueeze_bit,
+    walk_antichains,
 )
 
 
@@ -102,6 +106,24 @@ def test_subset_key_round_trip():
         g.parse_subset("a,a")
     with pytest.raises(ValueError):
         g.subset_key(8)
+
+
+def test_key_tables_match_the_label_joins():
+    # labels out of alphabetical order: subset keys sort by label string,
+    # tag keys keep bit order
+    g = GroundSet(("z", "b", "a"))
+    for mask in range(8):
+        labels = [g.labels[i] for i in bits_of(mask)]
+        assert g.subset_key(mask) == (",".join(sorted(labels)) if mask else EMPTY_KEY)
+        assert g.tag_key(mask) == ("".join(labels) if mask else EMPTY_KEY)
+    assert g.subset_key(3) == "b,z" and g.tag_key(3) == "zb"
+    assert g.subset_key(7) == "a,b,z" and g.tag_key(7) == "zba"
+    assert subset_key_table(g) == tuple(g.subset_key(m) for m in range(8))
+    assert tag_key_table(g) == tuple(g.tag_key(m) for m in range(8))
+    for bad in (-1, 8, 1 << 10):
+        for render in (g.subset_key, g.tag_key):
+            with pytest.raises(ValueError, match=rf"^mask {bad} outside the 3-variable universe$"):
+                render(bad)
 
 
 def test_pair_key_round_trip():
@@ -218,10 +240,38 @@ def test_enumerate_antichains_counts():
     assert len(list(enumerate_antichains(GroundSet.of_size(5)))) == 7579
 
 
+def pairwise_backtracking(n):
+    """Independent order oracle: ascending masks, each partial choice
+    extended with later sets by a pairwise incomparability check."""
+    masks = range(1, 1 << n)
+
+    def extend(chosen, start):
+        for cand in masks[start:]:
+            if all(s & cand not in (s, cand) for s in chosen):
+                yield (*chosen, cand)
+                yield from extend((*chosen, cand), cand)
+
+    return list(extend((), 0))
+
+
+def test_walk_matches_the_pairwise_backtracking():
+    for n in (2, 3, 4, 5):
+        g = GroundSet.of_size(n)
+        walk = list(walk_antichains(g))
+        sets = [members for members, _ in walk]
+        assert sets == pairwise_backtracking(n)
+        assert [a.sets for a in enumerate_antichains(g)] == sets
+        for members, closure in walk:
+            expected = superset_closure(Antichain(g, members)).members
+            assert closure == sum(1 << t for t in expected), members
+
+
 def test_enumerate_antichains_refuses_large_n():
     g = GroundSet.of_size(6)
     with pytest.raises(ValueError):
         next(enumerate_antichains(g))
+    with pytest.raises(ValueError):
+        next(walk_antichains(g))
 
 
 def test_union_closure():

@@ -376,6 +376,45 @@ def test_soundness_witnesses_name_the_first_violated_row(monkeypatch):
     assert report.counts["structures"] == ordered.index(failing[15]) + 1
 
 
+def test_soundness_sample_draws_the_same_antichains(monkeypatch):
+    # the sample is drawn from the walk; it must be the seeded draw from the
+    # enumerate_antichains list, each row equal to specific_constraint's
+    from imsetpoly.constraint import specific_constraint
+    from imsetpoly.setfam import enumerate_antichains
+
+    systems = []
+    compile_rows = verify._compile_rows
+
+    def spy(system):
+        systems.append(system)
+        return compile_rows(system)
+
+    monkeypatch.setattr(verify, "_compile_rows", spy)
+    antichains = list(enumerate_antichains(G5))
+    for seed in range(5):
+        report = soundness_check(G5, specific_sample=30, seed=seed)
+        expected = [
+            specific_constraint(a) for a in random.Random(seed).sample(antichains, 30)
+        ]
+        rows = systems.pop().rows
+        assert [r for r in rows if r.tag.startswith("specific:")] == expected
+        assert report.to_json_dict() == {
+            "counts": {"rows": 62, "structures": 8782},
+            "experiment": "census-soundness",
+            "parameters": {
+                "labels": list("abcde"),
+                "n": 5,
+                "rays": None,
+                "seed": seed,
+                "specific_rows": "sampled",
+                "specific_sample": 30,
+            },
+            "passed": True,
+            "payload": {},
+            "witnesses": [],
+        }
+
+
 def test_soundness_is_deterministic():
     assert soundness_check(G3).to_json() == soundness_check(G3).to_json()
 
