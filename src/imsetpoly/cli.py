@@ -208,7 +208,6 @@ def _cmd_matrix(args) -> int:
     if args.check == "hnf":
         passed, detail = _hnf_check(m)
     elif args.check == "unimodular":
-        rows, cols = m.shape
         try:
             verdict = is_unimodular_full_row_rank(m, mode="exhaustive")
         except ValueError:

@@ -132,44 +132,40 @@ def det_bareiss(a: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _rational_inverse(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Inverse of a square rational matrix by Gauss-Jordan elimination."""
-    d = len(rows)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(k == r)) for k in range(d)]
-           for r, row in enumerate(rows)]
-    for col in range(d):
-        pivot = next((r for r in range(col, d) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(d):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[d:] for row in aug]
+def _pivot(rows: list[list[Fraction]], r: int, col: int) -> None:
+    """One Gauss-Jordan step in place: scale row r to 1 in column col, then
+    clear column col from every other row."""
+    pv = rows[r][col]
+    if pv != 1:
+        rows[r] = [x / pv for x in rows[r]]
+    prow = rows[r]
+    for i, row in enumerate(rows):
+        f = row[col]
+        if i != r and f != 0:
+            rows[i] = [x - f * y for x, y in zip(row, prow)]
+
+
+def _reduce(rows: list[tuple]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over the rationals and its pivot columns,
+    which are the columns that raise the rank of the columns before them."""
+    work = [[Fraction(x) for x in row] for row in rows]
+    pivots: list[int] = []
+    for col in range(len(work[0]) if work else 0):
+        rank = len(pivots)
+        if rank == len(work):
+            break
+        r = next((i for i in range(rank, len(work)) if work[i][col] != 0), None)
+        if r is None:
+            continue
+        work[rank], work[r] = work[r], work[rank]
+        _pivot(work, rank, col)
+        pivots.append(col)
+    return work, pivots
 
 
 def _row_rank(rows: list[tuple]) -> int:
     """Rank over the rationals of a list of equal-length rows."""
-    work = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    cols = len(work[0]) if work else 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(work)) if work[r][col] != 0), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        pv = work[rank][col]
-        for r in range(len(work)):
-            if r != rank and work[r][col] != 0:
-                f = work[r][col] / pv
-                work[r] = [x - f * y for x, y in zip(work[r], work[rank])]
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
+    return len(_reduce(rows)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +516,8 @@ def feasible_nonneg_solution(m: IntMatrix, b: RatVector):
     """Find x >= 0 with M x = b exactly, or return None if none exists.
 
     Phase-I simplex over Fractions with Bland's anti-cycling rule: artificial
-    variables start basic, their sum is driven to zero.
+    variables start basic, their sum is driven to zero.  The last tableau row
+    holds the reduced costs, so every pivot is one _pivot call.
     """
     rows, cols = m.shape
     if len(b) != rows:
@@ -538,13 +535,13 @@ def feasible_nonneg_solution(m: IntMatrix, b: RatVector):
         tableau.append(row + art + [rhs])
     basis = [cols + i for i in range(rows)]
     # reduced costs for minimizing the sum of artificials
-    reduced = [Fraction(0)] * (total + 1)
-    for j in range(total + 1):
-        col_sum = sum(tableau[i][j] for i in range(rows))
-        cost = Fraction(1) if cols <= j < total else Fraction(0)
-        reduced[j] = cost - col_sum
+    tableau.append([
+        (Fraction(1) if cols <= j < total else Fraction(0))
+        - sum(tableau[i][j] for i in range(rows))
+        for j in range(total + 1)
+    ])
     while True:
-        enter = next((j for j in range(total) if reduced[j] < 0), None)
+        enter = next((j for j in range(total) if tableau[rows][j] < 0), None)
         if enter is None:
             break
         best = None
@@ -559,18 +556,9 @@ def feasible_nonneg_solution(m: IntMatrix, b: RatVector):
         if best is None:
             raise RuntimeError("phase-one objective unbounded; this cannot happen")
         _, leave = best
-        pivot = tableau[leave][enter]
-        tableau[leave] = [x / pivot for x in tableau[leave]]
-        for i in range(rows):
-            if i != leave and tableau[i][enter] != 0:
-                f = tableau[i][enter]
-                tableau[i] = [x - f * y for x, y in zip(tableau[i], tableau[leave])]
-        if reduced[enter] != 0:
-            f = reduced[enter]
-            reduced = [x - f * y for x, y in zip(reduced, tableau[leave])]
+        _pivot(tableau, leave, enter)
         basis[leave] = enter
-    objective = -reduced[total]
-    if objective != 0:
+    if tableau[rows][total] != 0:
         return None
     x = [Fraction(0)] * cols
     for i, var in enumerate(basis):

@@ -553,6 +553,47 @@ def test_double_description_on_orthant():
         double_description([(1, 0, 0), (0, 1, 0)], 3)
 
 
+def brute_force_rays(rows, dim):
+    """Oracle: a ray is extreme when it is tight on dim - 1 independent rows.
+    Each (dim - 1)-subset of rows gives its kernel direction through signed
+    maximal minors; a subset of lower rank gives the zero vector."""
+    from itertools import combinations
+    from math import gcd
+
+    from imsetpoly.exactlin import det_bareiss
+
+    rays = set()
+    for pick in combinations(rows, dim - 1):
+        x = [
+            (-1) ** j * det_bareiss([[r[k] for k in range(dim) if k != j] for r in pick])
+            for j in range(dim)
+        ]
+        if not any(x):
+            continue
+        g = 0
+        for v in x:
+            g = gcd(g, abs(v))
+        x = [v // g for v in x]
+        for ray in (x, [-v for v in x]):
+            if all(sum(a * b for a, b in zip(r, ray)) >= 0 for r in rows):
+                rays.add(tuple(ray))
+    return sorted(rays)
+
+
+def test_double_description_matches_brute_force_on_random_cones():
+    # the unit rows keep each cone pointed; the shuffle moves the starting basis
+    rng = random.Random(23)
+    for _ in range(60):
+        dim = rng.randint(3, 4)
+        rows = [tuple(int(i == k) for k in range(dim)) for i in range(dim)]
+        rows += [
+            tuple(rng.randint(-2, 2) for _ in range(dim))
+            for _ in range(rng.randint(2, 5))
+        ]
+        rng.shuffle(rows)
+        assert double_description(rows, dim) == brute_force_rays(rows, dim)
+
+
 def test_ray_file_round_trip(tmp_path):
     rays = supermodular_rays(G3, "builtin")
     path = tmp_path / "rays.json"
@@ -722,3 +763,15 @@ def test_assemble_system_counts():
         assemble_system(G3, "u", ("nonneg",))
     with pytest.raises(ValueError):
         assemble_system(G3, "q", ("equality",))
+
+
+def test_assemble_system_refuses_rays_it_would_not_read():
+    rays = supermodular_rays(G3, "builtin")
+    assert len(assemble_system(G3, "u", ("nonspecific",), rays=rays)) == 5
+    for framework, families in (
+        ("c", ("kappa-specific", "cluster-c")),
+        ("u", ("equality", "specific", "cluster-u")),
+        ("eta", ("nonneg",)),
+    ):
+        with pytest.raises(ValueError, match="nonspecific"):
+            assemble_system(G3, framework, families, rays=rays)

@@ -16,6 +16,8 @@ from imsetpoly.encode import (
 from imsetpoly.exactlin import (
     IntMatrix,
     RatVector,
+    _reduce,
+    _row_rank,
     build_b_u,
     build_matrix_A,
     build_matrix_B,
@@ -201,6 +203,39 @@ def test_hnf_rank():
     assert hnf_rank(IntMatrix.identity(("a", "b"))) == 2
     rank_one = IntMatrix(((1, 2), (2, 4)), ("r1", "r2"), ("c1", "c2"))
     assert hnf_rank(rank_one) == 1
+
+
+def test_reduce_pivots_are_the_rank_raising_columns():
+    # independent route: a column is a pivot exactly when the integer Hermite
+    # form ranks the columns up to it above the columns before it
+    def prefix_rank(entries, j):
+        if j == 0:
+            return 0
+        return hnf_rank(IntMatrix(
+            tuple(row[:j] for row in entries),
+            tuple(f"r{i}" for i in range(len(entries))),
+            tuple(f"c{k}" for k in range(j)),
+        ))
+
+    rng = random.Random(19)
+    for _ in range(80):
+        rows = rng.randint(1, 5)
+        cols = rng.randint(1, 7)
+        entries = [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)]
+        if rows >= 3 and rng.random() < 0.5:
+            # a dependent row, so the rank falls short of the row count
+            entries[0] = [a - b for a, b in zip(entries[1], entries[2])]
+        entries = [tuple(row) for row in entries]
+        rref, pivots = _reduce(entries)
+        assert pivots == [
+            j for j in range(cols)
+            if prefix_rank(entries, j + 1) > prefix_rank(entries, j)
+        ]
+        assert _row_rank(entries) == len(pivots)
+        for k, col in enumerate(pivots):
+            assert [row[col] for row in rref] == [int(i == k) for i in range(rows)]
+        assert all(not any(row) for row in rref[len(pivots):])
+    assert _reduce([]) == ([], [])
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Every name a module in src/ or tests/ imports is used in that module;
-package __init__.py files, which import to re-export, are exempt."""
+package __init__.py files, which import to re-export, are exempt.  Every
+module-level private name in src/ is read somewhere in src/."""
 
 import ast
 from pathlib import Path
@@ -12,6 +13,7 @@ MODULES = sorted(
     for p in (*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").rglob("*.py"))
     if p.name != "__init__.py"
 )
+PACKAGE = ROOT / "src" / "imsetpoly"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -42,3 +44,64 @@ def test_the_check_finds_unused_imports():
 @pytest.mark.parametrize("path", MODULES, ids=[str(p.relative_to(ROOT)) for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _defined_names(stmt) -> list[str]:
+    """Names a module-level statement binds by def, class or assignment."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else (
+        [stmt.target] if isinstance(stmt, ast.AnnAssign) else []
+    )
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def orphaned_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level private names (`_x`, not dunders) that nothing reads: not
+    their own module outside their definition, and no other module through
+    an import or an attribute.  sources maps module names to their text."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    imported, attributes = set(), set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                module = node.module.rsplit(".", 1)[-1]
+                imported.update((module, alias.name) for alias in node.names)
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+    orphans = []
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            for name in _defined_names(stmt):
+                if not name.startswith("_") or name.endswith("__"):
+                    continue
+                read_here = any(
+                    isinstance(node, ast.Name) and node.id == name
+                    and isinstance(node.ctx, ast.Load)
+                    for other in tree.body if other is not stmt
+                    for node in ast.walk(other)
+                )
+                if not (read_here or (module, name) in imported or name in attributes):
+                    orphans.append(f"{module}.{name} (line {stmt.lineno})")
+    return orphans
+
+
+def test_the_check_finds_orphaned_private_names():
+    sources = {
+        "a": (
+            "_LIMIT = 3\n_TABLE: dict = {}\n__version__ = '1'\n"
+            "def _leftover(x):\n    return _leftover(x - 1) if x else _LIMIT\n"
+            "def _imported():\n    pass\n"
+            "def _by_attribute():\n    pass\n"
+            "class _Unused:\n    pass\n"
+        ),
+        "b": "from .a import _imported\nfrom pkg import a\na._by_attribute()\n",
+    }
+    assert orphaned_private_names(sources) == [
+        "a._TABLE (line 2)", "a._leftover (line 4)", "a._Unused (line 10)",
+    ]
+
+
+def test_no_orphaned_private_names():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert orphaned_private_names(sources) == []
