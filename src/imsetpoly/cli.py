@@ -24,8 +24,8 @@ from .constraint import (
     ETA_FAMILIES,
     U_FAMILIES,
     DualVector,
+    _dual_cone_violation,
     assemble_system,
-    check_dual_cone,
     conic_decompose,
     load_ray_file,
     save_ray_file,
@@ -56,7 +56,7 @@ from .exactlin import (
     is_totally_unimodular_small,
     is_unimodular_full_row_rank,
 )
-from .setfam import GroundSet
+from .setfam import GroundSet, _json_text, _write_text
 from .verify import (
     EnumerationBox,
     census_equivalence_classes,
@@ -90,15 +90,11 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        try:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ValueError(f"cannot write {out}: {exc.strerror}") from None
+        _write_text(text, out)
 
 
 def _emit_json(obj, out: str | None) -> None:
-    _emit(json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=1) + "\n", out)
+    _emit(_json_text(obj), out)
 
 
 def _report_exit(report, out: str | None) -> int:
@@ -185,6 +181,10 @@ def _cmd_constraints(args) -> int:
 
 
 def _cmd_matrix(args) -> int:
+    if args.dummy_row and args.which != "E":
+        raise ValueError("--dummy-row applies to matrix E only")
+    if args.csv and args.check is not None:
+        raise ValueError("--csv cannot be combined with --check")
     ground = _ground(args)
     builder = MATRIX_BUILDERS[args.which]
     if args.which == "E":
@@ -244,8 +244,9 @@ def _cmd_matrix(args) -> int:
 
 def _cmd_decompose(args) -> int:
     y = DualVector.from_json_dict(_load_json(args.y))
-    if not check_dual_cone(y):
-        _emit_json({"in_cone": False, "terms": []}, args.out)
+    violation = _dual_cone_violation(y)
+    if violation is not None:
+        _emit_json({"in_cone": False, "terms": [], "violation": violation}, args.out)
         return 1
     terms = conic_decompose(y)
     reconstructed = [Fraction(0)] * (1 << y.ground.n)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .encode import semi_elementary_imset, superset_moebius
+from .encode import _Vector, semi_elementary_imset, superset_moebius
 from .exactlin import _reduce
 from .setfam import (
     Antichain,
@@ -22,7 +22,9 @@ from .setfam import (
     SetClass,
     _ground_from_labels,
     _integer_entries,
+    _json_text,
     _rational_entries,
+    _write_text,
     bits_of,
     eta_pairs,
     minimal_sets,
@@ -386,24 +388,11 @@ def cluster_constraint_c(ground: GroundSet, c: int) -> LinearConstraint:
 # supermodular functions and the nonspecific family
 
 
-@dataclass(frozen=True)
-class SupermodularFunction:
+class SupermodularFunction(_Vector):
     """A set function given densely over all subsets (index = mask)."""
 
-    ground: GroundSet
-    values: tuple
-
-    def __post_init__(self) -> None:
-        values = tuple(Fraction(v) for v in self.values)
-        if len(values) != 1 << self.ground.n:
-            raise ValueError(
-                f"set function needs {1 << self.ground.n} entries, got {len(values)}"
-            )
-        object.__setattr__(self, "values", values)
-
-    def value(self, mask: int) -> Fraction:
-        self.ground.check_mask(mask)
-        return self.values[mask]
+    _noun = "set function"
+    _entry = Fraction
 
     def is_standardized(self) -> bool:
         return all(
@@ -641,40 +630,24 @@ def load_ray_file(ground: GroundSet, path) -> list[SupermodularFunction]:
 
 
 def save_ray_file(rays: Sequence[SupermodularFunction], path) -> None:
-    data = [ray.to_json_dict() for ray in rays]
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, ensure_ascii=False, indent=1, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise ValueError(f"cannot write {path}: {exc.strerror}") from None
+    _write_text(_json_text([ray.to_json_dict() for ray in rays]), path)
 
 
 # ---------------------------------------------------------------------------
 # dual cone of superset-closed classes
 
 
-@dataclass(frozen=True)
-class DualVector:
+class DualVector(_Vector):
     """A rational vector over the non-empty subsets (index = mask; the entry
     at mask 0 must stay zero)."""
 
-    ground: GroundSet
-    values: tuple
+    _noun = "dual vector"
+    _entry = Fraction
 
     def __post_init__(self) -> None:
-        values = tuple(Fraction(v) for v in self.values)
-        if len(values) != 1 << self.ground.n:
-            raise ValueError(
-                f"dual vector needs {1 << self.ground.n} entries, got {len(values)}"
-            )
-        if values[0] != 0:
+        super().__post_init__()
+        if self.values[0] != 0:
             raise ValueError("dual vectors carry no entry at the empty set")
-        object.__setattr__(self, "values", values)
-
-    def value(self, mask: int) -> Fraction:
-        self.ground.check_mask(mask)
-        return self.values[mask]
 
     def to_json_dict(self) -> dict:
         entries = {
@@ -715,27 +688,30 @@ def y_of_class(antichain: Antichain) -> DualVector:
     return DualVector(ground, tuple(values))
 
 
-def _dual_cone_violation(y: DualVector):
-    """First violated membership condition, or None.
+def _dual_cone_violation(y: DualVector) -> dict | None:
+    """First violated membership condition as a JSON witness, or None.
 
     Conditions: singletons nonnegative; for |S| = 2 and i in S,
     y(S) + y({i}) >= 0; for |S| >= 3 and i in S,
-    y(S) + y({i}) - y(S minus i) >= 0.
+    y(S) + y({i}) - y(S minus i) >= 0.  The witness names the condition,
+    the set S and, for the last two, the variable i.
     """
     ground = y.ground
     for t in sorted(p1_masks(ground), key=lambda m: (m.bit_count(), m)):
         size = t.bit_count()
         if size == 1:
             if y.values[t] < 0:
-                return ("singleton", t)
-        elif size == 2:
-            for i in bits_of(t):
-                if y.values[t] + y.values[1 << i] < 0:
-                    return ("pair", t, i)
-        else:
-            for i in bits_of(t):
-                if y.values[t] + y.values[1 << i] - y.values[t & ~(1 << i)] < 0:
-                    return ("general", t, i)
+                return {"condition": "singleton", "set": ground.subset_key(t)}
+            continue
+        condition = "pair" if size == 2 else "general"
+        for i in bits_of(t):
+            rest = 0 if size == 2 else y.values[t & ~(1 << i)]
+            if y.values[t] + y.values[1 << i] - rest < 0:
+                return {
+                    "condition": condition,
+                    "set": ground.subset_key(t),
+                    "variable": ground.labels[i],
+                }
     return None
 
 

@@ -61,20 +61,46 @@ def superset_moebius(values: list, n: int) -> list:
 
 
 @dataclass(frozen=True)
-class EtaVector:
-    """Integer vector indexed by conditional pairs (i|B), canonical order."""
+class _Vector:
+    """Entries over the subsets (or pairs) of a ground set.
+
+    A subclass names its noun for the length error, its per-entry conversion
+    (None keeps entries as given) and its length when that is not 2^n.
+    """
 
     ground: GroundSet
-    values: tuple[int, ...]
+    values: tuple
+
+    _noun = "vector"
+    _entry = None
 
     def __post_init__(self) -> None:
-        values = tuple(self.values)
-        expect = self.ground.n * (1 << (self.ground.n - 1))
+        entry = self._entry
+        values = tuple(self.values) if entry is None else tuple(map(entry, self.values))
+        expect = self._length()
         if len(values) != expect:
-            raise ValueError(f"eta vector needs {expect} entries, got {len(values)}")
+            raise ValueError(f"{self._noun} needs {expect} entries, got {len(values)}")
         object.__setattr__(self, "values", values)
 
+    def _length(self) -> int:
+        return 1 << self.ground.n
+
+    def value(self, mask: int):
+        self.ground.check_mask(mask)
+        return self.values[mask]
+
+
+class EtaVector(_Vector):
+    """Integer vector indexed by conditional pairs (i|B), canonical order."""
+
+    _noun = "eta vector"
+
+    def _length(self) -> int:
+        return self.ground.n * (1 << (self.ground.n - 1))
+
     def value(self, i: int, b: int) -> int:
+        self.ground.check_mask(1 << i)
+        self.ground.check_mask(b)
         return self.values[pair_index(self.ground, i, b)]
 
     def to_json_dict(self) -> dict:
@@ -86,24 +112,10 @@ class EtaVector:
         return {"labels": list(ground.labels), "kind": "eta", "entries": entries}
 
 
-@dataclass(frozen=True)
-class StandardImset:
+class StandardImset(_Vector):
     """Integer function on all subsets; values[mask] is the entry at mask."""
 
-    ground: GroundSet
-    values: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        values = tuple(self.values)
-        if len(values) != 1 << self.ground.n:
-            raise ValueError(
-                f"standard imset needs {1 << self.ground.n} entries, got {len(values)}"
-            )
-        object.__setattr__(self, "values", values)
-
-    def value(self, mask: int) -> int:
-        self.ground.check_mask(mask)
-        return self.values[mask]
+    _noun = "standard imset"
 
     def is_standardized(self) -> bool:
         """Total sum zero and, for each variable, the sum over sets containing
@@ -123,42 +135,20 @@ class StandardImset:
         return {"labels": list(self.ground.labels), "kind": "standard", "entries": entries}
 
 
-@dataclass(frozen=True)
-class Portrait:
+class Portrait(_Vector):
     """Superset-sum transform of a standard imset (one entry per subset)."""
 
-    ground: GroundSet
-    values: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        values = tuple(self.values)
-        if len(values) != 1 << self.ground.n:
-            raise ValueError(
-                f"portrait needs {1 << self.ground.n} entries, got {len(values)}"
-            )
-        object.__setattr__(self, "values", values)
-
-    def value(self, mask: int) -> int:
-        self.ground.check_mask(mask)
-        return self.values[mask]
+    _noun = "portrait"
 
 
-@dataclass(frozen=True)
-class CharacteristicImset:
+class CharacteristicImset(_Vector):
     """Integer function on subsets with >= 2 members (ascending mask order);
     reads as 1 on smaller subsets."""
 
-    ground: GroundSet
-    values: tuple[int, ...]
+    _noun = "characteristic imset"
 
-    def __post_init__(self) -> None:
-        values = tuple(self.values)
-        if len(values) != len(p2_masks(self.ground)):
-            raise ValueError(
-                f"characteristic imset needs {len(p2_masks(self.ground))} entries, "
-                f"got {len(values)}"
-            )
-        object.__setattr__(self, "values", values)
+    def _length(self) -> int:
+        return len(p2_masks(self.ground))
 
     def value(self, mask: int) -> int:
         self.ground.check_mask(mask)

@@ -7,6 +7,7 @@ bitmask value, which keeps deduplication and array indexing canonical.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -162,6 +163,19 @@ def _ground_from_labels(labels) -> GroundSet:
     if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
         raise ValueError("'labels' must be a JSON array of strings")
     return GroundSet(tuple(labels))
+
+
+def _json_text(obj) -> str:
+    """The one JSON text every report, catalog and ray file is written as."""
+    return json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=1) + "\n"
+
+
+def _write_text(text: str, path) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _rational_entries(entries):

@@ -9,7 +9,6 @@ the object but left out of the serialization).
 
 from __future__ import annotations
 
-import json
 import random
 import time
 from dataclasses import dataclass, field
@@ -55,6 +54,7 @@ from .exactlin import _row_rank
 from .setfam import (
     Antichain,
     GroundSet,
+    _json_text,
     enumerate_antichains,
     eta_pairs,
     p2_masks,
@@ -100,12 +100,7 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
-        return (
-            json.dumps(
-                self.to_json_dict(), ensure_ascii=False, sort_keys=True, indent=1
-            )
-            + "\n"
-        )
+        return _json_text(self.to_json_dict())
 
 
 @dataclass(frozen=True)

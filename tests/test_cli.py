@@ -277,7 +277,29 @@ def test_decompose_outside_cone(capsys, tmp_path):
         {"labels": ["a", "b", "c"], "entries": {"a": "-1"}},
     )
     code, data, _ = run_json(capsys, "decompose", "--y", path)
-    assert code == 1 and data == {"in_cone": False, "terms": []}
+    assert code == 1 and data == {
+        "in_cone": False,
+        "terms": [],
+        "violation": {"condition": "singleton", "set": "a"},
+    }
+
+
+@pytest.mark.parametrize(
+    "entries, violation",
+    [
+        ({"a": "1/2", "a,b": "-1"}, {"condition": "pair", "set": "a,b", "variable": "a"}),
+        ({"b": "1", "a,b": "-1"}, {"condition": "pair", "set": "a,b", "variable": "a"}),
+        ({"a": "1", "a,b": "-1"}, {"condition": "pair", "set": "a,b", "variable": "b"}),
+        (
+            {"a": "1", "a,c": "1"},
+            {"condition": "general", "set": "a,b,c", "variable": "b"},
+        ),
+    ],
+)
+def test_decompose_names_the_first_violated_condition(capsys, tmp_path, entries, violation):
+    path = write_json(tmp_path / "y.json", {"labels": ["a", "b", "c"], "entries": entries})
+    code, data, _ = run_json(capsys, "decompose", "--y", path)
+    assert code == 1 and data["violation"] == violation
 
 
 def test_runtime_error_exits_two_with_one_line(capsys, monkeypatch, tmp_path):

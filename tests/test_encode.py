@@ -1,13 +1,16 @@
 """Vector encodings and the transforms between them."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
+from imsetpoly.constraint import DualVector, SupermodularFunction
 from imsetpoly.digraph import DirectedGraph, enumerate_dags, enumerate_digraphs
 from imsetpoly.encode import (
     CharacteristicImset,
     EtaVector,
+    Portrait,
     StandardImset,
     basic_vector,
     char_from_eta,
@@ -61,14 +64,45 @@ def test_zeta_moebius_inverse():
             assert superset_zeta(superset_moebius(list(v), n), n) == v
 
 
-def test_vector_length_validation():
+# class, the noun of its length error, its length at n = 3, its entry type
+VECTOR_CLASSES = [
+    (EtaVector, "eta vector", 12, int),
+    (StandardImset, "standard imset", 8, int),
+    (Portrait, "portrait", 8, int),
+    (CharacteristicImset, "characteristic imset", 4, int),
+    (SupermodularFunction, "set function", 8, Fraction),
+    (DualVector, "dual vector", 8, Fraction),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, noun, length, entry", VECTOR_CLASSES, ids=[c[0].__name__ for c in VECTOR_CLASSES]
+)
+def test_vector_contract(cls, noun, length, entry):
     g = GroundSet.of_size(3)
-    with pytest.raises(ValueError):
-        EtaVector(g, (0,) * 5)
-    with pytest.raises(ValueError):
-        StandardImset(g, (0,) * 7)
-    with pytest.raises(ValueError):
-        CharacteristicImset(g, (0,) * 3)
+    for wrong in (length - 1, length + 1):
+        with pytest.raises(ValueError, match=f"^{noun} needs {length} entries, got {wrong}$"):
+            cls(g, [1] * wrong)
+    if cls is DualVector:
+        # the empty-set entry is refused only once the length is right
+        with pytest.raises(ValueError, match="^dual vectors carry no entry at the empty set$"):
+            cls(g, [1] * length)
+    v = cls(g, [0] + list(range(1, length)))
+    assert type(v.values) is tuple and [type(x) for x in v.values] == [entry] * length
+    assert repr(v) == f"{cls.__name__}(ground={g!r}, values={v.values!r})"
+    # an out-of-range subset, as the conditioning set of a pair for eta
+    for mask in (-1, 1 << 3):
+        with pytest.raises(ValueError):
+            v.value(0, mask) if cls is EtaVector else v.value(mask)
+    same = cls(g, tuple(range(length)))
+    assert same == v and hash(same) == hash(v)
+    # five of the six classes have four entries at n = 2; equal fields, unequal
+    g2 = GroundSet.of_size(2)
+    vectors = [
+        other(g2, (0,) * 4) for other, *_ in VECTOR_CLASSES if other is not CharacteristicImset
+    ]
+    mine = [w for w in vectors if type(w) is cls]
+    assert all(w != x for w in mine for x in vectors if x is not w)
 
 
 def test_eta_of_reference_graph():
@@ -79,6 +113,10 @@ def test_eta_of_reference_graph():
     assert eta.value(1, 5) == 1          # b | {a, c}
     assert eta.value(2, 0) == 1          # c | empty
     assert eta.value(0, 0) == 0
+    # a variable outside the ground set, not the entry of a later pair
+    for i in (3, -1):
+        with pytest.raises(ValueError):
+            eta.value(i, 0)
     support = {
         g.pair_key(i, b)
         for (i, b), v in zip(eta_pairs(g), eta.values)

@@ -1,6 +1,8 @@
 """Golden CLI corpus: every case in golden/cases.json replays one command line
 and must reproduce its recorded stdout byte for byte and its exit code.  Cases
-that exit 2 also pin the one `error:` line on stderr.
+that exit 2 also pin the one `error:` line on stderr.  The corpus itself is
+linted: every recording names a case, every input file is read by one, and
+every refusal pins its error line.
 
 Run this file as a script to record the stdout of each case that has no
 golden/<name>.out file yet; existing files are never rewritten, so a change
@@ -40,6 +42,23 @@ def test_golden_case(case):
     assert out == expected
     errors = [line for line in err.splitlines() if not line.startswith("elapsed ")]
     assert errors == ([case["error"]] if "error" in case else [])
+
+
+def test_every_recording_names_a_case():
+    names = {case["name"] for case in CASES}
+    assert sorted(p.stem for p in GOLDEN.glob("*.out") if p.stem not in names) == []
+
+
+def test_every_input_file_is_read_by_a_case():
+    read = {a for case in CASES for a in case["argv"].split() if a.startswith("inputs/")}
+    files = {p.relative_to(GOLDEN).as_posix() for p in (GOLDEN / "inputs").rglob("*")}
+    assert sorted(files - read) == []
+
+
+def test_every_refusal_pins_its_error_line():
+    refusals = [case for case in CASES if case["exit"] == 2]
+    assert refusals
+    assert [c["name"] for c in refusals if not c.get("error", "").startswith("error: ")] == []
 
 
 if __name__ == "__main__":
