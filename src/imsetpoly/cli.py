@@ -176,7 +176,7 @@ def _cmd_constraints(args) -> int:
     if args.format == "lp":
         _emit(system.to_lp(), args.out)
     else:
-        _emit_json(system.to_json_dict(), args.out)
+        _emit(system.to_json_text(), args.out)
     return 0
 
 

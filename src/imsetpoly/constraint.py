@@ -11,6 +11,7 @@ import json
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring as _quote
 from math import gcd, lcm
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -30,7 +31,6 @@ from .setfam import (
     minimal_sets,
     p1_masks,
     p2_masks,
-    subset_key_table,
     superset_closure,
     tag_key_table,
     union_closure_class,
@@ -40,13 +40,17 @@ from .setfam import (
 # a row with sense s holds when SENSES[s](lhs, rhs)
 SENSES = {">=": operator.ge, "<=": operator.le, "=": operator.eq}
 
+
+class _Fractions(dict):
+    """value -> Fraction(value), looked up at C speed for the values stored
+    and converted afresh for any other."""
+
+    def __missing__(self, value):
+        return Fraction(value)
+
+
 # one shared Fraction per small integer: catalog rows hold little else
-_SMALL_FRACTIONS = {k: Fraction(k) for k in range(-16, 17)}
-
-
-def _fraction(value) -> Fraction:
-    shared = _SMALL_FRACTIONS.get(value)
-    return Fraction(value) if shared is None else shared
+_SMALL_FRACTIONS = _Fractions({k: Fraction(k) for k in range(-16, 17)})
 
 
 class ConeViolationError(RuntimeError):
@@ -72,9 +76,10 @@ class LinearConstraint:
             raise ValueError(f"unknown framework {self.framework!r}")
         if self.sense not in SENSES:
             raise ValueError(f"unknown sense {self.sense!r}")
-        cleaned = {k: _fraction(v) for k, v in dict(self.coeffs).items() if v}
+        fraction = _SMALL_FRACTIONS
+        cleaned = {k: fraction[v] for k, v in self.coeffs.items() if v}
         object.__setattr__(self, "coeffs", cleaned)
-        object.__setattr__(self, "rhs", _fraction(self.rhs))
+        object.__setattr__(self, "rhs", fraction[self.rhs])
 
     def __hash__(self) -> int:
         # coeffs is a dict; hash its items in key order so equal rows agree
@@ -122,32 +127,44 @@ class ConstraintSystem:
     def satisfied_by(self, values) -> bool:
         return all(row.holds_at(values) for row in self.rows)
 
-    def _key_renderer(self) -> Callable:
+    def to_json_text(self) -> str:
+        """The catalog as setfam._json_text prints it (sorted keys, indent 1,
+        non-ASCII kept), written straight from the rows: each coefficient
+        key is rendered once per system, and a row's keys are sorted by
+        their raw strings, as sort_keys does."""
         ground = self.ground
         if self.framework == "eta":
-            return lambda key: ground.pair_key(*key)
-        table = subset_key_table(ground)
-        size = len(table)
-        # an out-of-range mask goes to subset_key, which refuses it
-        return lambda key: table[key] if 0 <= key < size else ground.subset_key(key)
-
-    def to_json_dict(self) -> dict:
-        render = self._key_renderer()
+            name = _Rendered(lambda key: ground.pair_key(*key))
+        else:
+            name = _Rendered(ground.subset_key)
+        line = _Rendered(lambda key: f'    {_quote(name[key])}: "')
         rows = []
         for row in self.rows:
-            rows.append(
-                {
-                    "tag": row.tag,
-                    "coeffs": {render(k): str(v) for k, v in sorted_items(row.coeffs)},
-                    "sense": row.sense,
-                    "rhs": str(row.rhs),
-                }
+            coeffs = row.coeffs
+            body = ",\n".join(
+                [line[k] + str(coeffs[k]) + '"' for k in sorted(coeffs, key=name.__getitem__)]
             )
-        return {
-            "framework": self.framework,
-            "labels": list(self.ground.labels),
-            "rows": rows,
-        }
+            rows.append(
+                '  {\n   "coeffs": '
+                + ("{\n" + body + "\n   }" if body else "{}")
+                + ',\n   "rhs": "'
+                + str(row.rhs)
+                + '",\n   "sense": '
+                + _quote(row.sense)
+                + ',\n   "tag": '
+                + _quote(row.tag)
+                + "\n  }"
+            )
+        labels = ",\n".join(["  " + _quote(x) for x in ground.labels])
+        return (
+            f'{{\n "framework": {_quote(self.framework)},\n "labels": [\n{labels}\n ],\n'
+            + (' "rows": [\n' + ",\n".join(rows) + "\n ]" if rows else ' "rows": []')
+            + "\n}\n"
+        )
+
+    def to_json_dict(self) -> dict:
+        """The catalog as a JSON object, read back from to_json_text."""
+        return json.loads(self.to_json_text())
 
     def _variable_name(self, key) -> str:
         if self.framework == "eta":
@@ -162,8 +179,8 @@ class ConstraintSystem:
         lines.append(" obj: 0")
         lines.append("Subject To")
         seen_names: dict[str, int] = {}
-        variables: list[str] = []
-        var_seen: set[str] = set()
+        # variable names in order of first use
+        var = _Rendered(self._variable_name)
         for row in self.rows:
             name = "".join(ch if ch.isalnum() else "_" for ch in row.tag)
             if name in seen_names:
@@ -176,18 +193,31 @@ class ConstraintSystem:
                 continue
             terms = []
             for key, coef in sorted_items(row.coeffs):
-                var = self._variable_name(key)
-                if var not in var_seen:
-                    var_seen.add(var)
-                    variables.append(var)
-                terms.append(f"{'+' if coef >= 0 else '-'} {abs(coef)} {var}")
+                text = str(coef)
+                if text[0] == "-":
+                    terms.append(f"- {text[1:]} {var[key]}")
+                else:
+                    terms.append(f"+ {text} {var[key]}")
             body = " ".join(terms).lstrip("+ ")
             lines.append(f" {name}: {body} {row.sense} {row.rhs}")
         lines.append("Bounds")
-        for var in variables:
-            lines.append(f" {var} free")
+        # distinct keys may share a name (labels "ab", "c" and "a", "bc")
+        for variable in dict.fromkeys(var.values()):
+            lines.append(f" {variable} free")
         lines.append("End")
         return "\n".join(lines) + "\n"
+
+
+class _Rendered(dict):
+    """render(key) for each key looked up, computed on its first lookup."""
+
+    def __init__(self, render: Callable):
+        super().__init__()
+        self.render = render
+
+    def __missing__(self, key):
+        text = self[key] = self.render(key)
+        return text
 
 
 def sorted_items(coeffs: Mapping):
@@ -354,7 +384,8 @@ def specific_rows(ground: GroundSet, family: str, walk=None) -> Iterator[LinearC
     for sets, closure in walk_antichains(ground) if walk is None else walk:
         tag = f"{family}:" + ",".join([tags[s] for s in sets])
         if family == "specific":
-            yield LinearConstraint("u", dict.fromkeys(bits_of(closure), 1), "<=", 1, tag)
+            bits = [t for t in range(closure.bit_length()) if closure >> t & 1]
+            yield LinearConstraint("u", dict.fromkeys(bits, 1), "<=", 1, tag)
             continue
         indicator = [closure >> t & 1 for t in range(1 << n)]
         kappa = superset_moebius(indicator[::-1], n)[::-1]
@@ -775,8 +806,12 @@ def assemble_system(
 
     The 'nonspecific' family needs rays: pass them, or they default to the
     builtin list at n = 3 and the computed list at n <= 4.  Rays passed to
-    any other system would be dropped unread, so they are refused.
+    any other system would be dropped unread, so they are refused, and so is
+    a family listed twice, whose rows would all appear twice.
     """
+    for k, family in enumerate(families):
+        if family in families[:k]:
+            raise ValueError(f"constraint family {family!r} is listed twice")
     if rays is not None and (framework != "u" or "nonspecific" not in families):
         raise ValueError(
             "rays are read only by the 'nonspecific' family of the 'u' framework"

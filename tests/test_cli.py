@@ -212,6 +212,11 @@ N5_CATALOG_DIGESTS = {
     "constraints --n 5 --framework u --families equality,specific,cluster-u":
         "18e93bdba96b9c5ef8a585672b06c4c7a2b6026c1b7f549e3135a481c978e826",
 }
+# sha256 of the LP export of the n = 5 c catalog, recorded while its variable
+# names and term signs were still computed afresh for every coefficient
+N5_CATALOG_DIGESTS["constraints --n 5 --framework c --format lp"] = (
+    "265ad3b2b97d662c008df5165763b9b3aaf595049eab3e30a4808c8d711a80b0"
+)
 
 
 @pytest.mark.parametrize("command", sorted(N5_CATALOG_DIGESTS))

@@ -133,8 +133,9 @@ def test_system_json_refuses_an_out_of_range_mask():
     for mask in (-1, 8):
         row = LinearConstraint("u", {3: 1, mask: 1}, ">=", 0, "bad")
         system = ConstraintSystem(G3, "u", (row,))
-        with pytest.raises(ValueError, match=rf"^mask {mask} outside the 3-variable universe$"):
-            system.to_json_dict()
+        for export in (system.to_json_text, system.to_json_dict, system.to_lp):
+            with pytest.raises(ValueError, match=rf"^mask {mask} outside the 3-variable universe$"):
+                export()
 
 
 def test_shared_fractions_keep_value_and_type():

@@ -1,8 +1,10 @@
 """Every name a module in src/ or tests/ imports is used in that module;
 package __init__.py files, which import to re-export, are exempt.  Every
-module-level private name in src/ is read somewhere in src/."""
+module-level private name in src/ is read somewhere in src/.  Every function
+the benchmark's span tracer patches still exists in the package."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -105,3 +107,51 @@ def test_the_check_finds_orphaned_private_names():
 def test_no_orphaned_private_names():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
     assert orphaned_private_names(sources) == []
+
+
+def traced_names(source: str) -> list[tuple[str, str]]:
+    """The (module, attribute) pairs of the TRACED table in a tracer source,
+    read without importing it; a dotted attribute is Class.method."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets
+        ):
+            return [tuple(ast.literal_eval(entry)[:2]) for entry in node.value.elts]
+    raise AssertionError("no TRACED table")
+
+
+def missing_traced_names(names, package: str = "imsetpoly") -> list[str]:
+    missing = []
+    for module, attribute in names:
+        try:
+            target = importlib.import_module(f"{package}.{module}")
+        except ModuleNotFoundError:
+            missing.append(module)
+            continue
+        for part in attribute.split("."):
+            target = getattr(target, part, None)
+        if not callable(target):
+            missing.append(f"{module}.{attribute}")
+    return missing
+
+
+def test_the_check_finds_missing_traced_names():
+    source = (
+        "TRACED = (\n"
+        '    ("cli", "main", "cli.main"),\n'
+        '    ("constraint", "ConstraintSystem.to_json_dict", "x"),\n'
+        '    ("constraint", "ConstraintSystem.gone", "y"),\n'
+        '    ("nomodule", "f", "z"),\n'
+        '    ("setfam", "gone", "w"),\n'
+        ")\n"
+    )
+    assert missing_traced_names(traced_names(source)) == [
+        "constraint.ConstraintSystem.gone", "nomodule", "setfam.gone",
+    ]
+
+
+def test_every_traced_name_exists():
+    source = (ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8")
+    names = traced_names(source)
+    assert names
+    assert missing_traced_names(names) == []

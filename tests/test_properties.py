@@ -1,6 +1,7 @@
 """Property tests: the encode triangle on random digraphs, the superset
-zeta/Moebius pair on random vectors, and random JSON input files fed to the
-CLI commands that read them.
+zeta/Moebius pair on random vectors, the catalog text writer on random
+constraint systems, and random JSON input files fed to the CLI commands that
+read them.
 
 Examples are drawn from a fixed seed (derandomize) so the suite stays
 reproducible, and their number is bounded to keep the run short.
@@ -11,11 +12,13 @@ import io
 import json
 import os
 import tempfile
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imsetpoly.cli import main
+from imsetpoly.constraint import SENSES, ConstraintSystem, LinearConstraint
 from imsetpoly.digraph import DirectedGraph, is_acyclic
 from imsetpoly.encode import (
     char_from_eta,
@@ -69,6 +72,79 @@ def test_encode_triangle_commutes(g):
 def test_superset_moebius_inverts_zeta(case):
     n, values = case
     assert superset_moebius(superset_zeta(values, n), n) == values
+
+
+# ---------------------------------------------------------------------------
+# the catalog text writer against the standard library's encoder
+
+# labels a subset or pair key can carry: quotes, backslashes, non-ASCII
+# characters and inner tabs, which the JSON text must escape or keep as is;
+# "z" sorts before "z y" but '"z"' after '"z y"', so keys must be sorted
+# before they are quoted
+TEXT_LABELS = st.lists(
+    st.sampled_from(["z", "z y", 'q"', "b\\s", "é", "∅x", "t\tab", "日本"]),
+    min_size=2, max_size=4, unique=True,
+)
+RATIONALS = st.fractions(-5, 5, max_denominator=6) | st.integers(-3, 3)
+
+
+@st.composite
+def constraint_systems(draw):
+    """A system of up to five rows over random labels, and the JSON document
+    it stands for, built here from the drawn coefficients: keys are rendered
+    from the labels directly and zero coefficients left out."""
+    labels = draw(TEXT_LABELS)
+    framework = draw(st.sampled_from(["eta", "u", "c"]))
+    n = len(labels)
+
+    def subset(mask):
+        return ",".join(sorted(labels[i] for i in range(n) if mask >> i & 1)) or "∅"
+
+    def name(key):
+        return f"{labels[key[0]]}|{subset(key[1])}" if framework == "eta" else subset(key)
+
+    keys = st.integers(0, (1 << n) - 1)
+    if framework == "eta":
+        keys = st.tuples(st.integers(0, n - 1), keys).map(lambda p: (p[0], p[1] & ~(1 << p[0])))
+    rows, ref_rows = [], []
+    for _ in range(draw(st.integers(0, 5))):
+        # an empty or all-zero table is a vacuous row
+        coeffs = draw(st.dictionaries(keys, RATIONALS, max_size=6))
+        sense = draw(st.sampled_from(sorted(SENSES)))
+        rhs = draw(RATIONALS)
+        tag = draw(st.text(st.sampled_from('ab:,"\\\té∅ -'), max_size=8))
+        rows.append(LinearConstraint(framework, coeffs, sense, rhs, tag))
+        ref_rows.append({
+            "tag": tag,
+            "coeffs": {name(k): str(Fraction(v)) for k, v in coeffs.items() if v},
+            "sense": sense,
+            "rhs": str(Fraction(rhs)),
+        })
+    system = ConstraintSystem(GroundSet(tuple(labels)), framework, tuple(rows))
+    return system, {"framework": framework, "labels": labels, "rows": ref_rows}
+
+
+@PROPERTY
+@given(constraint_systems())
+def test_catalog_text_matches_the_standard_encoder(case):
+    system, ref = case
+    text = json.dumps(ref, ensure_ascii=False, sort_keys=True, indent=1) + "\n"
+    assert system.to_json_text() == text
+    assert system.to_json_dict() == ref
+
+
+def test_catalog_out_file_matches_stdout():
+    for framework in ("c", "u"):
+        argv = ["constraints", "--n", "4", "--framework", framework]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) == 0
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "catalog.json")
+            with contextlib.redirect_stderr(io.StringIO()):
+                assert main(argv + ["--out", path]) == 0
+            with open(path, "rb") as fh:
+                assert fh.read() == out.getvalue().encode("utf-8")
 
 
 # ---------------------------------------------------------------------------
