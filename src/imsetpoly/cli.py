@@ -183,6 +183,9 @@ def _cmd_constraints(args) -> int:
 def _cmd_matrix(args) -> int:
     if args.dummy_row and args.which != "E":
         raise ValueError("--dummy-row applies to matrix E only")
+    if args.dummy_row and args.check == "products":
+        # the product check reads E with its dummy row whatever the flag says
+        raise ValueError("--dummy-row cannot be combined with --check products")
     if args.csv and args.check is not None:
         raise ValueError("--csv cannot be combined with --check")
     ground = _ground(args)
@@ -377,7 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--dummy-row",
         action="store_true",
-        help="append the empty-set balancing row (matrix E only)",
+        help="append the empty-set balancing row (matrix E only; not with "
+        "--check products, which always reads it)",
     )
     add_out(p)
     p.set_defaults(func=_cmd_matrix)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from operator import getitem
 from typing import Iterator, Sequence
 
@@ -86,7 +87,20 @@ def enumerate_digraphs(ground: GroundSet) -> Iterator[DirectedGraph]:
     (n = 5 already means 2^20 graphs)."""
     if ground.n >= 5:
         raise ValueError("digraph enumeration is limited to n <= 4")
-    yield from _parent_set_recursion(ground, acyclic=False)
+    # node 0's parent set varies slowest, each over its submasks ascending
+    choices = [_submasks(ground.full_mask & ~(1 << i)) for i in range(ground.n)]
+    for parents in product(*choices):
+        yield DirectedGraph(ground, parents)
+
+
+def _submasks(mask: int) -> list[int]:
+    """The submasks of mask, ascending."""
+    subs = [0]
+    sub = 0
+    while sub != mask:
+        sub = (sub - mask) & mask
+        subs.append(sub)
+    return subs
 
 
 def _prefix_acyclic(parents: Sequence[int], k: int) -> bool:
@@ -113,41 +127,46 @@ def enumerate_dags(ground: GroundSet) -> Iterator[DirectedGraph]:
     parent-set recursion.  Node i is offered only parent sets that avoid its
     descendants among nodes 0..i-1, so no cyclic prefix is ever built; the
     order is that of the acyclic digraphs in enumerate_digraphs."""
-    yield from _parent_set_recursion(ground, acyclic=True)
+    for parents, allowed, _ in _dag_prefixes(ground):
+        for sub in _submasks(allowed):
+            yield DirectedGraph(ground, parents + (sub,))
 
 
-def _parent_set_recursion(ground: GroundSet, acyclic: bool) -> Iterator[DirectedGraph]:
-    # choose the parent set of node 0, then node 1, ..., each over the
-    # submasks of the nodes it may have as parents, ascending.  With acyclic
-    # set, desc[j] holds the descendants of j through arrows among the nodes
-    # chosen so far, and node i may not take as a parent a chosen child of
-    # its own or a descendant of one: those are exactly the cyclic choices.
-    n = ground.n
+def _dag_prefixes(ground: GroundSet) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    # (parents of nodes 0..n-2, the parent masks node n-1 may take, packed
+    # super-terminal sum of the prefix), in enumerate_dags order: every
+    # submask of the allowed mask completes the prefix to one DAG.
+    #
+    # Each node's parent set runs over the submasks of the nodes it may have
+    # as parents, ascending.  desc[j] holds the descendants of j through
+    # arrows among the nodes chosen so far, and node i may not take as a
+    # parent a chosen child of its own or a descendant of one: those are
+    # exactly the cyclic choices.
+    last = ground.n - 1
     full = ground.full_mask
+    table = _super_terminal_table(ground)
 
-    def rec(i: int, parents: tuple[int, ...], desc: tuple[int, ...]) -> Iterator[DirectedGraph]:
-        below = 0
-        if acyclic:
-            for j, (p, d) in enumerate(zip(parents, desc)):
-                if p >> i & 1:
-                    below |= 1 << j | d
+    def rec(i: int, parents: tuple[int, ...], desc: list[int], packed: int, below: int):
+        # below: the chosen descendants of node i, which it may not take
         allowed = full & ~(1 << i) & ~below
-        sub = 0
-        while True:
-            if i == n - 1:
-                yield DirectedGraph(ground, parents + (sub,))
+        row = table[i]
+        # i and its descendants become descendants of i's ancestors
+        reach = 1 << i | below
+        k = i + 1
+        for sub in _submasks(allowed):
+            grown = [d | reach if sub >> j & 1 or d & sub else d for j, d in enumerate(desc)]
+            grown.append(below)
+            chosen = parents + (sub,)
+            below_k = 0
+            for j, p in enumerate(chosen):
+                if p >> k & 1:
+                    below_k |= 1 << j | grown[j]
+            if k == last:
+                yield chosen, full & ~(1 << k) & ~below_k, packed + row[sub]
             else:
-                # i and its descendants become descendants of i's ancestors
-                reach = 1 << i | below
-                grown = tuple(
-                    d | reach if sub >> j & 1 or d & sub else d for j, d in enumerate(desc)
-                )
-                yield from rec(i + 1, parents + (sub,), grown + (below,))
-            if sub == allowed:
-                break
-            sub = (sub - allowed) & allowed
+                yield from rec(k, chosen, grown, packed + row[sub], below_k)
 
-    yield from rec(0, (), ())
+    yield from rec(0, (), [], 0, 0)
 
 
 @lru_cache(maxsize=None)

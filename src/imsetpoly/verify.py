@@ -16,7 +16,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import lcm, prod
-from operator import getitem
 
 from .constraint import (
     SENSES,
@@ -38,9 +37,10 @@ from .constraint import (
 )
 from .digraph import (
     DirectedGraph,
+    _dag_prefixes,
+    _submasks,
     _super_terminal_table,
     _unpack_counts,
-    enumerate_dags,
     enumerate_digraphs,
     is_acyclic,
 )
@@ -63,6 +63,7 @@ from .setfam import (
 
 SCAN_BUDGET = 3_000_000  # coordinate values the scan search may try
 PAYLOAD_LIST_CAP = 512
+CLASS_POINTS_MAX_N = 5  # census payloads list their class tuples up to here
 
 
 @dataclass
@@ -87,7 +88,7 @@ class VerificationReport:
         for key in sorted(self.payload):
             value = self.payload[key]
             if isinstance(value, list) and len(value) > PAYLOAD_LIST_CAP:
-                payload[key] = {"count": len(value), "omitted": True}
+                payload[key] = _omitted(len(value))
             else:
                 payload[key] = value
         return {
@@ -101,6 +102,11 @@ class VerificationReport:
 
     def to_json(self) -> str:
         return _json_text(self.to_json_dict())
+
+
+def _omitted(count: int) -> dict:
+    # what a report's JSON form prints in place of a long payload list
+    return {"count": count, "omitted": True}
 
 
 @dataclass(frozen=True)
@@ -157,29 +163,43 @@ class EnumerationBox:
 
 
 @lru_cache(maxsize=None)
-def _census_data(ground: GroundSet) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """DAG count and the sorted, deduplicated characteristic tuples."""
-    # packed counts sort like their tuples, so only the classes are unpacked
-    table = _super_terminal_table(ground)
+def _census_data(ground: GroundSet) -> tuple[int, tuple[int, ...]]:
+    """DAG count and the sorted, distinct packed characteristic imsets (see
+    digraph._super_terminal_table; packed ints sort like their tuples)."""
+    last = _super_terminal_table(ground)[-1]
+    # the packed sum of node n-1 over every submask of each allowed mask
+    completions = [[last[sub] for sub in _submasks(mask)] for mask in range(len(last))]
     seen: set[int] = set()
     count = 0
-    for g in enumerate_dags(ground):
-        seen.add(sum(map(getitem, table, g.parents)))
-        count += 1
-    return count, tuple(_unpack_counts(ground, v) for v in sorted(seen))
+    for _, allowed, packed in _dag_prefixes(ground):
+        tails = completions[allowed]
+        seen.update([packed + t for t in tails])
+        count += len(tails)
+    return count, tuple(sorted(seen))
 
 
+@lru_cache(maxsize=None)
 def census_characteristic_set(ground: GroundSet) -> frozenset[tuple[int, ...]]:
     """All distinct characteristic tuples of acyclic digraphs (coordinates in
     ascending order of subsets with >= 2 members)."""
-    return frozenset(_census_data(ground)[1])
+    return frozenset(_unpack_counts(ground, v) for v in _census_data(ground)[1])
 
 
 def census_equivalence_classes(ground: GroundSet) -> VerificationReport:
     """Count acyclic digraphs and their equivalence classes (distinct
-    characteristic imsets)."""
+    characteristic imsets).
+
+    payload["class_points"] lists the classes' characteristic tuples, sorted,
+    for n <= 5.  For n = 6 it holds {"count": ..., "omitted": True}, which is
+    what the JSON form prints for the list: its 1 067 825 tuples would take
+    about 500 MB.
+    """
     t0 = time.perf_counter()
     dags, classes = _census_data(ground)
+    if ground.n <= CLASS_POINTS_MAX_N:
+        class_points = [_unpack_counts(ground, v) for v in classes]
+    else:
+        class_points = _omitted(len(classes))
     report = VerificationReport(
         experiment="census",
         parameters={"n": ground.n, "labels": list(ground.labels)},
@@ -188,7 +208,7 @@ def census_equivalence_classes(ground: GroundSet) -> VerificationReport:
         passed=True,
         payload={
             "coordinates": [ground.subset_key(m) for m in p2_masks(ground)],
-            "class_points": list(classes),
+            "class_points": class_points,
         },
     )
     report.wall_time_s = time.perf_counter() - t0

@@ -9,7 +9,13 @@ from fractions import Fraction
 import pytest
 
 from imsetpoly import verify
-from imsetpoly.digraph import enumerate_dags
+from imsetpoly.digraph import (
+    DirectedGraph,
+    _unpack_counts,
+    enumerate_dags,
+    is_acyclic,
+    super_terminal_counts,
+)
 from imsetpoly.setfam import GroundSet, bits_of, p2_masks
 from imsetpoly.verify import (
     EnumerationBox,
@@ -98,8 +104,8 @@ def test_census_report_is_deterministic():
 def test_census_classes_sorted_as_tuples():
     # the census sorts packed ints; the decoded tuples must come out in
     # tuple order, one per class, each the 0/1 rule on some DAG
-    classes = verify._census_data(G5)[1]
-    assert list(classes) == sorted(set(classes))
+    classes = census_equivalence_classes(G5).payload["class_points"]
+    assert classes == sorted(set(classes))
     masks = p2_masks(G5)
     assert set(classes) == {
         tuple(
@@ -110,12 +116,41 @@ def test_census_classes_sorted_as_tuples():
     }
 
 
+def test_census_data_against_the_product_route():
+    # every loop-free parent tuple by itertools.product, the cyclic ones
+    # dropped by is_acyclic's peeling: nothing of the prefix recursion is used
+    for ground in (G3, G4):
+        n = ground.n
+        dags = [
+            parents
+            for parents in itertools.product(range(1 << n), repeat=n)
+            if not any(p >> i & 1 for i, p in enumerate(parents))
+            and is_acyclic(DirectedGraph(ground, parents))
+        ]
+        classes = sorted({super_terminal_counts(ground, parents) for parents in dags})
+        count, packed = verify._census_data(ground)
+        assert count == len(dags)
+        assert [_unpack_counts(ground, v) for v in packed] == classes
+
+
 def test_census_class_payload():
     report = census_equivalence_classes(G3)
     classes = report.payload["class_points"]
     assert len(classes) == 11
     assert (0, 0, 0, 0) in classes
     assert report.payload["coordinates"] == ["a,b", "a,c", "b,c", "a,b,c"]
+
+
+def test_census_payload_past_the_tuple_limit(monkeypatch):
+    # past CLASS_POINTS_MAX_N the payload holds no tuples, only what the JSON
+    # form prints for a list longer than PAYLOAD_LIST_CAP
+    monkeypatch.setattr(verify, "PAYLOAD_LIST_CAP", 10)
+    listed = census_equivalence_classes(G3)
+    monkeypatch.setattr(verify, "CLASS_POINTS_MAX_N", 2)
+    counted = census_equivalence_classes(G3)
+    assert len(listed.payload["class_points"]) == 11
+    assert counted.payload["class_points"] == {"count": 11, "omitted": True}
+    assert counted.to_json() == listed.to_json()
 
 
 # ---------------------------------------------------------------------------
