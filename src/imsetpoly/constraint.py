@@ -25,6 +25,8 @@ from .setfam import (
     _integer_entries,
     _json_text,
     _rational_entries,
+    _submasks,
+    _up_set,
     _write_text,
     bits_of,
     eta_pairs,
@@ -402,14 +404,7 @@ def cluster_constraint_c(ground: GroundSet, c: int) -> LinearConstraint:
     ground.check_mask(c)
     if c.bit_count() < 2:
         raise ValueError("cluster rows need a set with at least two members")
-    coeffs = {}
-    sub = c
-    while True:
-        if sub.bit_count() >= 2:
-            coeffs[sub] = 1 if sub.bit_count() % 2 else -1
-        if sub == 0:
-            break
-        sub = (sub - 1) & c
+    coeffs = {s: 1 if s.bit_count() % 2 else -1 for s in _submasks(c) if s.bit_count() >= 2}
     return LinearConstraint(
         "c", coeffs, ">=", 1 - c.bit_count(), f"cluster-c:{ground.tag_key(c)}"
     )
@@ -448,13 +443,8 @@ def _elementary_triples(ground: GroundSet) -> Iterator[tuple[int, int, int]]:
     the ground set: by i, then j, then C in ascending mask order."""
     for i in range(ground.n):
         for j in range(i + 1, ground.n):
-            rest = ground.full_mask & ~(1 << i) & ~(1 << j)
-            c = 0
-            while True:
+            for c in _submasks(ground.full_mask & ~(1 << i) & ~(1 << j)):
                 yield i, j, c
-                if c == rest:
-                    break
-                c = (c - rest) & rest
 
 
 def is_supermodular(m: SupermodularFunction) -> bool:
@@ -709,11 +699,12 @@ def y_of_class(antichain: Antichain) -> DualVector:
     """The extreme dual vector of a superset-closed class: indicator of the
     closure, corrected by the number of proper singleton members below."""
     ground = antichain.ground
-    closure = set(superset_closure(antichain).members)
-    singletons = [m for m in closure if m.bit_count() == 1]
+    closure = _up_set(ground.n, antichain.sets)
+    # a singleton lies in the closure exactly when it is a member
+    singletons = [m for m in antichain.sets if m.bit_count() == 1]
     values = [Fraction(0)] * (1 << ground.n)
     for t in p1_masks(ground):
-        v = 1 if t in closure else 0
+        v = closure >> t & 1
         v -= sum(1 for s in singletons if s != t and s & t == s)
         values[t] = Fraction(v)
     return DualVector(ground, tuple(values))
@@ -768,10 +759,7 @@ def conic_decompose(y: DualVector) -> list[tuple[Antichain, Fraction]]:
     terms: list[tuple[Antichain, Fraction]] = []
     while any(current):
         support = [t for t in p1_masks(ground) if current[t] != 0]
-        closure_members = sorted(
-            {s for s in p1_masks(ground) if any(t & s == t for t in support)}
-        )
-        closure = SetClass(ground, tuple(closure_members))
+        closure = SetClass(ground, tuple(bits_of(_up_set(ground.n, support))))
         mins = minimal_sets(closure)
         beta = min(current[t] for t in mins)
         if beta <= 0:

@@ -8,7 +8,7 @@ from itertools import product
 from operator import getitem
 from typing import Iterator, Sequence
 
-from .setfam import GroundSet, _ground_from_labels, bits_of, p2_index
+from .setfam import GroundSet, _ground_from_labels, _submasks, bits_of, p2_index
 
 
 @dataclass(frozen=True)
@@ -93,16 +93,6 @@ def enumerate_digraphs(ground: GroundSet) -> Iterator[DirectedGraph]:
         yield DirectedGraph(ground, parents)
 
 
-def _submasks(mask: int) -> list[int]:
-    """The submasks of mask, ascending."""
-    subs = [0]
-    sub = 0
-    while sub != mask:
-        sub = (sub - mask) & mask
-        subs.append(sub)
-    return subs
-
-
 def _prefix_acyclic(parents: Sequence[int], k: int) -> bool:
     # Acyclicity of the graph restricted to the first k nodes.  Arrows from
     # later nodes cannot lie on a cycle among the first k, so they are cut.
@@ -179,11 +169,7 @@ def _super_terminal_table(ground: GroundSet) -> tuple[tuple[int, ...], ...]:
     top = len(index) - 1
     return tuple(
         tuple(
-            sum(
-                1 << 8 * (top - index[t | 1 << i])
-                for t in range(1, p + 1)
-                if t & p == t and not t >> i & 1
-            )
+            sum(1 << 8 * (top - index[t | 1 << i]) for t in _submasks(p & ~(1 << i))[1:])
             for p in range(1 << ground.n)
         )
         for i in range(ground.n)

@@ -22,6 +22,7 @@ from .setfam import (
     GroundSet,
     _ground_from_labels,
     _integer_entries,
+    _submasks,
     bits_of,
     eta_pairs,
     p2_index,
@@ -283,12 +284,8 @@ def char_from_eta(eta: EtaVector) -> CharacteristicImset:
         for i in bits_of(s):
             rest = s & ~(1 << i)
             free = ground.full_mask & ~(1 << i) & ~rest
-            sub = 0
-            while True:
+            for sub in _submasks(free):
                 total += eta.values[pair_index(ground, i, rest | sub)]
-                if sub == free:
-                    break
-                sub = (sub - free) & free
         out.append(total)
     return CharacteristicImset(ground, tuple(out))
 

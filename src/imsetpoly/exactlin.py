@@ -279,9 +279,10 @@ def build_matrix_E(ground: GroundSet, dummy_row: bool = False) -> IntMatrix:
     which every column holds exactly one +1 and one -1.
     """
     set_cols = list(p1_masks(ground))
-    pair_cols = [(b | (1 << i), b) for i, b in eta_pairs(ground) if b != 0]
+    pairs = [(i, b) for i, b in eta_pairs(ground) if b != 0]
+    pair_cols = [(b | (1 << i), b) for i, b in pairs]
     col_labels = [ground.subset_key(r) for r in set_cols] + [
-        f"{ground.subset_key(c)}:{ground.subset_key(b)}" for c, b in pair_cols
+        e_column_for_pair(ground, i, b) for i, b in pairs
     ]
     rows = []
     row_labels = []

@@ -313,18 +313,7 @@ def superset_closure(antichain: Antichain) -> SetClass:
 
 
 def is_superset_closed(cls: SetClass) -> bool:
-    present = set(cls.members)
-    full = cls.ground.full_mask
-    for m in cls.members:
-        rest = full & ~m
-        sub = rest
-        while True:
-            if (m | sub) not in present:
-                return False
-            if sub == 0:
-                break
-            sub = (sub - 1) & rest
-    return True
+    return _up_set(cls.ground.n, cls.members) == sum(1 << m for m in cls.members)
 
 
 def minimal_sets(cls: SetClass) -> Antichain:
@@ -339,12 +328,21 @@ def minimal_sets(cls: SetClass) -> Antichain:
         raise ValueError("class members must be non-empty subsets")
     if not is_superset_closed(cls):
         raise ValueError("class is not closed under supersets")
-    mins = [
-        s
-        for s in cls.members
-        if not any(t != s and t & s == t for t in cls.members)
-    ]
+    # in a superset-closed class a member is minimal when no member lies one
+    # element below it
+    present = set(cls.members)
+    mins = [s for s in cls.members if not any(s ^ 1 << i in present for i in bits_of(s))]
     return Antichain(cls.ground, tuple(mins))
+
+
+def _submasks(mask: int) -> list[int]:
+    """The submasks of mask, ascending."""
+    subs = [0]
+    sub = 0
+    while sub != mask:
+        sub = (sub - mask) & mask
+        subs.append(sub)
+    return subs
 
 
 @lru_cache(maxsize=None)
@@ -353,6 +351,16 @@ def _superset_bits(n: int) -> tuple[int, ...]:
     subset t."""
     size = 1 << n
     return tuple(sum(1 << t for t in range(size) if t & m == m) for m in range(size))
+
+
+def _up_set(n: int, masks) -> int:
+    """The subsets containing one of masks, as a 2**n-bit int with bit t
+    standing for subset t."""
+    up = _superset_bits(n)
+    closure = 0
+    for m in masks:
+        closure |= up[m]
+    return closure
 
 
 def walk_antichains(ground: GroundSet) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -392,14 +400,8 @@ def enumerate_antichains(ground: GroundSet) -> Iterator[Antichain]:
 
 def union_closure_class(antichain: Antichain) -> SetClass:
     """Unions of all non-empty subclasses of the antichain."""
-    closed = set(antichain.sets)
-    changed = True
-    while changed:
-        changed = False
-        for a in list(closed):
-            for b in list(closed):
-                u = a | b
-                if u not in closed:
-                    closed.add(u)
-                    changed = True
+    closed: set[int] = set()
+    for a in antichain.sets:
+        closed |= {a | u for u in closed}
+        closed.add(a)
     return SetClass(antichain.ground, tuple(closed))

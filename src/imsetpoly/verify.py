@@ -38,7 +38,6 @@ from .constraint import (
 from .digraph import (
     DirectedGraph,
     _dag_prefixes,
-    _submasks,
     _super_terminal_table,
     _unpack_counts,
     enumerate_digraphs,
@@ -55,6 +54,7 @@ from .setfam import (
     Antichain,
     GroundSet,
     _json_text,
+    _submasks,
     enumerate_antichains,
     eta_pairs,
     p2_masks,

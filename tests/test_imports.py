@@ -1,10 +1,12 @@
 """Every name a module in src/ or tests/ imports is used in that module;
 package __init__.py files, which import to re-export, are exempt.  Every
+absolute import in src/ names a standard-library module.  Every
 module-level private name in src/ is read somewhere in src/.  Every function
 the benchmark's span tracer patches still exists in the package."""
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,6 +48,41 @@ def test_the_check_finds_unused_imports():
 @pytest.mark.parametrize("path", MODULES, ids=[str(p.relative_to(ROOT)) for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def non_stdlib_imports(source: str) -> list[str]:
+    """The absolute imports whose top-level module is not in the standard
+    library; relative imports stay inside the package."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        found += [
+            f"{m} (line {node.lineno})"
+            for m in modules
+            if m.split(".")[0] not in sys.stdlib_module_names
+        ]
+    return found
+
+
+def test_the_check_finds_non_stdlib_imports():
+    source = (
+        "from __future__ import annotations\nimport os.path, numpy as np\n"
+        "from . import setfam\nfrom .setfam import bits_of\n"
+        "def f():\n    from scipy.optimize import linprog\n    import json\n"
+    )
+    assert non_stdlib_imports(source) == ["numpy (line 2)", "scipy.optimize (line 6)"]
+
+
+@pytest.mark.parametrize(
+    "path", sorted((ROOT / "src").rglob("*.py")), ids=lambda p: str(p.relative_to(ROOT))
+)
+def test_the_core_imports_only_the_standard_library(path):
+    assert non_stdlib_imports(path.read_text(encoding="utf-8")) == []
 
 
 def _defined_names(stmt) -> list[str]:

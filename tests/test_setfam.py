@@ -10,6 +10,8 @@ from imsetpoly.setfam import (
     Antichain,
     GroundSet,
     SetClass,
+    _submasks,
+    _up_set,
     bits_of,
     enumerate_antichains,
     eta_pairs,
@@ -213,7 +215,7 @@ def test_superset_closure_oracle():
 
 
 def test_minimal_sets_inverts_closure():
-    for n in (2, 3):
+    for n in (2, 3, 4):
         g = GroundSet.of_size(n)
         for antichain in enumerate_antichains(g):
             assert minimal_sets(superset_closure(antichain)) == antichain
@@ -224,6 +226,27 @@ def test_minimal_sets_inverts_closure():
         minimal_sets(SetClass(g, (0, 1)))
     with pytest.raises(ValueError):
         minimal_sets(SetClass(g, (3,)))
+
+
+def test_submasks_match_the_filter():
+    for m in range(1 << 6):
+        assert _submasks(m) == [s for s in range(m + 1) if s & m == s]
+
+
+def any_scan_up_set(n, masks):
+    """Independent oracle: bit s set when subset s contains one of masks."""
+    return sum(1 << s for s in range(1 << n) if any(t & s == t for t in masks))
+
+
+def test_up_set_matches_the_any_scan():
+    for n in (2, 3, 4):
+        for sets, closure in walk_antichains(GroundSet.of_size(n)):
+            assert _up_set(n, sets) == closure == any_scan_up_set(n, sets)
+    rng = random.Random(13)
+    for n in (5, 6):
+        for _ in range(200):
+            masks = [rng.randrange(1 << n) for _ in range(rng.randrange(7))]
+            assert _up_set(n, masks) == any_scan_up_set(n, masks)
 
 
 def test_enumerate_antichains_counts():
