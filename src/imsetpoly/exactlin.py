@@ -1,6 +1,6 @@
 """Exact integer linear algebra: the transformation matrices between the
-three encodings, Hermite normal form, minor scans, and a rational Phase-I
-simplex for nonnegative feasibility.
+three encodings, Hermite normal form, minor scans, and a fraction-free
+Phase-I simplex for nonnegative feasibility.
 
 Matrices carry explicit row and column label tables so that every entry can
 be traced back to the subset or conditional pair indexing it.
@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 from typing import Sequence
 
 from .encode import StandardImset
@@ -98,10 +98,7 @@ class IntMatrix:
         )
 
     def det(self) -> int:
-        rows, cols = self.shape
-        if rows != cols:
-            raise ValueError("determinant needs a square matrix")
-        return det_bareiss([list(r) for r in self.entries])
+        return det_bareiss(self.entries)
 
     def to_csv(self) -> str:
         lines = ["," + ",".join(f'"{c}"' for c in self.col_labels)]
@@ -110,9 +107,13 @@ class IntMatrix:
         return "\n".join(lines) + "\n"
 
 
-def det_bareiss(a: list[list[int]]) -> int:
-    """Fraction-free determinant of a square integer matrix."""
+def det_bareiss(a: Sequence[Sequence[int]]) -> int:
+    """Fraction-free determinant of a square integer matrix; the input is
+    left as it is."""
     n = len(a)
+    a = [list(row) for row in a]
+    if any(len(row) != n for row in a):
+        raise ValueError("determinant needs a square matrix")
     if n == 0:
         return 1
     sign = 1
@@ -132,24 +133,32 @@ def det_bareiss(a: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _pivot(rows: list[list[Fraction]], r: int, col: int) -> None:
-    """One Gauss-Jordan step in place: scale row r to 1 in column col, then
-    clear column col from every other row."""
-    pv = rows[r][col]
-    if pv != 1:
-        rows[r] = [x / pv for x in rows[r]]
+def _pivot(rows: list[list[int]], r: int, col: int, d: int) -> int:
+    """One fraction-free Gauss-Jordan step in place (Edmonds 1967; Bareiss
+    1968) on integer rows that hold a tableau over the common denominator d.
+
+    Column col is cleared from every row but r; each new entry divides
+    exactly by d, since every entry is a minor of the starting rows.  Row r
+    stays, and its entry p in column col, returned, is the new common
+    denominator."""
     prow = rows[r]
+    p = prow[col]
     for i, row in enumerate(rows):
         f = row[col]
-        if i != r and f != 0:
-            rows[i] = [x - f * y for x, y in zip(row, prow)]
+        if i == r or (f == 0 and p == d):
+            continue
+        rows[i] = [(x * p - f * y) // d for x, y in zip(row, prow)]
+    return p
 
 
 def _reduce(rows: list[tuple]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over the rationals and its pivot columns,
-    which are the columns that raise the rank of the columns before them."""
-    work = [[Fraction(x) for x in row] for row in rows]
+    """Reduced row echelon form over the rationals of integer rows, and its
+    pivot columns, which are the columns that raise the rank of the columns
+    before them.  The elimination runs on integers; the rows are divided by
+    their common denominator once, at the end."""
+    work = [list(row) for row in rows]
     pivots: list[int] = []
+    d = 1
     for col in range(len(work[0]) if work else 0):
         rank = len(pivots)
         if rank == len(work):
@@ -158,9 +167,9 @@ def _reduce(rows: list[tuple]) -> tuple[list[list[Fraction]], list[int]]:
         if r is None:
             continue
         work[rank], work[r] = work[r], work[rank]
-        _pivot(work, rank, col)
+        d = _pivot(work, rank, col, d)
         pivots.append(col)
-    return work, pivots
+    return [[Fraction(x, d) for x in row] for row in work], pivots
 
 
 def _row_rank(rows: list[tuple]) -> int:
@@ -460,10 +469,9 @@ def is_unimodular_full_row_rank(
         picks = (tuple(sorted(rng.sample(range(cols), rows))) for _ in range(samples))
     else:
         raise ValueError(f"unknown scan mode {mode!r}")
-    all_rows = tuple(range(rows))
     checked = 0
     for checked, col_pick in enumerate(picks, 1):
-        d = m.submatrix(all_rows, col_pick).det()
+        d = det_bareiss([[row[j] for j in col_pick] for row in m.entries])
         if abs(d) > 1:
             return MinorVerdict(mode, False, checked, col_pick, d)
     return MinorVerdict(mode, True if mode == "exhaustive" else None, checked)
@@ -499,8 +507,9 @@ def is_totally_unimodular_small(
     checked = 0
     for k in range(1, max_order + 1):
         for row_pick in combinations(range(rows), k):
+            picked = [m.entries[i] for i in row_pick]
             for col_pick in combinations(range(cols), k):
-                d = m.submatrix(row_pick, col_pick).det()
+                d = det_bareiss([[row[j] for j in col_pick] for row in picked])
                 checked += 1
                 if abs(d) > 1:
                     return TotalUnimodularityVerdict(
@@ -516,53 +525,55 @@ def is_totally_unimodular_small(
 def feasible_nonneg_solution(m: IntMatrix, b: RatVector):
     """Find x >= 0 with M x = b exactly, or return None if none exists.
 
-    Phase-I simplex over Fractions with Bland's anti-cycling rule: artificial
-    variables start basic, their sum is driven to zero.  The last tableau row
-    holds the reduced costs, so every pivot is one _pivot call.
+    Phase-I simplex with Bland's anti-cycling rule: artificial variables
+    start basic, their sum is driven to zero.  The tableau is integer over
+    one common denominator d, and every pivot is one _pivot call; b is
+    scaled by the lcm L of its denominators, so x is read as T[i][rhs] / (d L).
+    The last tableau row holds the reduced costs.
     """
     rows, cols = m.shape
     if len(b) != rows:
         raise ValueError("right-hand side length does not match the matrix")
     total = cols + rows
-    tableau: list[list[Fraction]] = []
-    for i in range(rows):
-        row = [Fraction(x) for x in m.entries[i]]
-        rhs = b.values[i]
-        if rhs < 0:
-            row = [-x for x in row]
-            rhs = -rhs
-        art = [Fraction(0)] * rows
-        art[i] = Fraction(1)
-        tableau.append(row + art + [rhs])
+    scale = lcm(*(v.denominator for v in b.values))
+    tableau: list[list[int]] = []
+    for i, (row, v) in enumerate(zip(m.entries, b.values)):
+        rhs = v.numerator * (scale // v.denominator)
+        sign = -1 if rhs < 0 else 1
+        art = [0] * rows
+        art[i] = 1
+        tableau.append([sign * x for x in row] + art + [sign * rhs])
     basis = [cols + i for i in range(rows)]
     # reduced costs for minimizing the sum of artificials
     tableau.append([
-        (Fraction(1) if cols <= j < total else Fraction(0))
-        - sum(tableau[i][j] for i in range(rows))
+        (1 if cols <= j < total else 0) - sum(tableau[i][j] for i in range(rows))
         for j in range(total + 1)
     ])
+    d = 1
     while True:
         enter = next((j for j in range(total) if tableau[rows][j] < 0), None)
         if enter is None:
             break
-        best = None
+        leave = None
         for i in range(rows):
             coef = tableau[i][enter]
             if coef > 0:
-                ratio = tableau[i][total] / coef
-                if best is None or ratio < best[0] or (
-                    ratio == best[0] and basis[i] < basis[best[1]]
-                ):
-                    best = (ratio, i)
-        if best is None:
+                # the ratios T[i][rhs] / coef compared by cross-multiplying
+                if leave is None:
+                    leave = i
+                    continue
+                here = tableau[i][total] * tableau[leave][enter]
+                best = tableau[leave][total] * coef
+                if here < best or (here == best and basis[i] < basis[leave]):
+                    leave = i
+        if leave is None:
             raise RuntimeError("phase-one objective unbounded; this cannot happen")
-        _, leave = best
-        _pivot(tableau, leave, enter)
+        d = _pivot(tableau, leave, enter, d)
         basis[leave] = enter
     if tableau[rows][total] != 0:
         return None
-    x = [Fraction(0)] * cols
+    x = [0] * cols
     for i, var in enumerate(basis):
         if var < cols:
-            x[var] = tableau[i][total]
+            x[var] = Fraction(tableau[i][total], d * scale)
     return RatVector(m.col_labels, tuple(x))

@@ -34,7 +34,8 @@ from imsetpoly.exactlin import (
     is_totally_unimodular_small,
     is_unimodular_full_row_rank,
 )
-from imsetpoly.setfam import GroundSet, eta_pairs, p1_masks
+from imsetpoly.setfam import GroundSet, eta_pairs, p1_masks, p2_masks
+from imsetpoly.verify import EnumerationBox, census_characteristic_set
 
 G3 = GroundSet.of_size(3)
 G4 = GroundSet.of_size(4)
@@ -58,6 +59,93 @@ def fraction_det(entries):
             a[i] = [x - f * y for x, y in zip(a[i], a[k])]
     assert det.denominator == 1
     return int(det)
+
+
+def fraction_pivot(rows, r, col):
+    """Oracle: one Gauss-Jordan step over Fractions in place."""
+    pv = rows[r][col]
+    if pv != 1:
+        rows[r] = [x / pv for x in rows[r]]
+    prow = rows[r]
+    for i, row in enumerate(rows):
+        f = row[col]
+        if i != r and f != 0:
+            rows[i] = [x - f * y for x, y in zip(row, prow)]
+
+
+def fraction_rref(rows):
+    """Oracle: reduced row echelon form over Fractions and its pivot columns."""
+    work = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(len(work[0]) if work else 0):
+        rank = len(pivots)
+        if rank == len(work):
+            break
+        r = next((i for i in range(rank, len(work)) if work[i][col] != 0), None)
+        if r is None:
+            continue
+        work[rank], work[r] = work[r], work[rank]
+        fraction_pivot(work, rank, col)
+        pivots.append(col)
+    return work, pivots
+
+
+def fraction_phase_one(m, b):
+    """Oracle: Phase-I simplex on a Fraction tableau with Bland's rule, the
+    same pivot path as feasible_nonneg_solution."""
+    rows, cols = m.shape
+    total = cols + rows
+    tableau = []
+    for i in range(rows):
+        row = [Fraction(x) for x in m.entries[i]]
+        rhs = b.values[i]
+        if rhs < 0:
+            row = [-x for x in row]
+            rhs = -rhs
+        art = [Fraction(0)] * rows
+        art[i] = Fraction(1)
+        tableau.append(row + art + [rhs])
+    basis = [cols + i for i in range(rows)]
+    tableau.append([
+        (Fraction(1) if cols <= j < total else Fraction(0))
+        - sum(tableau[i][j] for i in range(rows))
+        for j in range(total + 1)
+    ])
+    while True:
+        enter = next((j for j in range(total) if tableau[rows][j] < 0), None)
+        if enter is None:
+            break
+        best = None
+        for i in range(rows):
+            coef = tableau[i][enter]
+            if coef > 0:
+                ratio = tableau[i][total] / coef
+                if best is None or ratio < best[0] or (
+                    ratio == best[0] and basis[i] < basis[best[1]]
+                ):
+                    best = (ratio, i)
+        _, leave = best
+        fraction_pivot(tableau, leave, enter)
+        basis[leave] = enter
+    if tableau[rows][total] != 0:
+        return None
+    x = [Fraction(0)] * cols
+    for i, var in enumerate(basis):
+        if var < cols:
+            x[var] = tableau[i][total]
+    return RatVector(m.col_labels, tuple(x))
+
+
+def same_as_oracle(m, b):
+    """feasible_nonneg_solution, checked to return the oracle's value and,
+    when it finds one, an exact nonnegative solution."""
+    x = feasible_nonneg_solution(m, b)
+    assert x == fraction_phase_one(m, b)
+    if x is not None:
+        assert all(v >= 0 for v in x.values)
+        for row, rhs in zip(m.entries, b.values):
+            assert sum(c * v for c, v in zip(row, x.values)) == rhs
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +326,28 @@ def test_reduce_pivots_are_the_rank_raising_columns():
     assert _reduce([]) == ([], [])
 
 
+def test_reduce_matches_fraction_rref():
+    rng = random.Random(31)
+    deficient = 0
+    for _ in range(300):
+        rows = rng.randint(1, 6)
+        cols = rng.randint(1, 8)
+        entries = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
+        if rng.random() < 0.5:
+            zero = rng.randrange(cols)
+            for row in entries:
+                row[zero] = 0
+        if rows >= 2 and rng.random() < 0.5:
+            entries[rng.randrange(rows)] = list(entries[rng.randrange(rows)])
+        # a negative first pivot
+        entries[0][0] = -rng.randint(1, 4)
+        entries = [tuple(row) for row in entries]
+        rref, pivots = _reduce(entries)
+        assert (rref, pivots) == fraction_rref(entries)
+        deficient += len(pivots) < rows
+    assert deficient > 0
+
+
 # ---------------------------------------------------------------------------
 # determinants
 
@@ -251,6 +361,18 @@ def test_det_bareiss_matches_fraction_oracle():
     singular = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
     assert det_bareiss([row[:] for row in singular]) == 0
     assert det_bareiss([]) == 1
+
+
+def test_det_bareiss_leaves_its_input_alone():
+    entries = [[2, 1], [1, 1]]
+    assert det_bareiss(entries) == 1
+    assert entries == [[2, 1], [1, 1]]
+
+
+@pytest.mark.parametrize("entries", [[[1, 2]], [[1, 2], [3]], [[1], [2]]])
+def test_det_bareiss_refuses_non_square_input(entries):
+    with pytest.raises(ValueError):
+        det_bareiss(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -359,3 +481,60 @@ def test_feasibility_input_validation():
         feasible_nonneg_solution(
             build_matrix_A(G3), RatVector(("a",), (Fraction(1),))
         )
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free Phase I against the Fraction tableau
+
+
+@pytest.mark.parametrize("ground", [G3, G4])
+def test_phase_one_matches_oracle_on_census_points(ground):
+    a = build_matrix_A(ground)
+    for point in sorted(census_characteristic_set(ground)):
+        u = u_from_characteristic(CharacteristicImset(ground, point))
+        assert same_as_oracle(a, build_b_u(u)) is not None
+
+
+def test_phase_one_matches_oracle_on_default_box_points():
+    rng = random.Random(23)
+    box = EnumerationBox.default(G4)
+    a = build_matrix_A(G4)
+    for _ in range(40):
+        point = tuple(rng.randint(lo, hi) for lo, hi in zip(box.lower, box.upper))
+        u = u_from_characteristic(CharacteristicImset(G4, point))
+        same_as_oracle(a, build_b_u(u))
+
+
+def test_phase_one_matches_oracle_for_char_matrix_on_digraphs():
+    bmat = build_matrix_B(G3)
+    for graph in enumerate_digraphs(G3):
+        ext = char_extension(G3, quasi_characteristic_of(graph))
+        assert same_as_oracle(bmat, ext) is not None
+
+
+def test_phase_one_matches_oracle_on_rational_right_hand_sides():
+    rng = random.Random(29)
+    verdicts = set()
+    for _ in range(200):
+        rows = rng.randint(1, 5)
+        cols = rng.randint(1, 7)
+        m = IntMatrix(
+            tuple(tuple(rng.randint(-3, 3) for _ in range(cols)) for _ in range(rows)),
+            tuple(f"r{i}" for i in range(rows)),
+            tuple(f"c{j}" for j in range(cols)),
+        )
+        b = RatVector(
+            m.row_labels,
+            tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(rows)),
+        )
+        verdicts.add(same_as_oracle(m, b) is None)
+    assert verdicts == {False, True}
+
+
+def test_phase_one_solves_c_star_at_n5():
+    # c*(S) = max(1, |S|/2) separates the two polytopes at n = 5, yet its
+    # standard imset has an exact nonnegative eta preimage
+    g5 = GroundSet.of_size(5)
+    point = tuple(max(Fraction(1), Fraction(m.bit_count(), 2)) for m in p2_masks(g5))
+    u = u_from_characteristic(CharacteristicImset(g5, point))
+    assert same_as_oracle(build_matrix_A(g5), build_b_u(u)) is not None
