@@ -15,8 +15,8 @@ from json.encoder import encode_basestring as _quote
 from math import gcd, lcm
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .encode import _Vector, semi_elementary_imset, superset_moebius
-from .exactlin import _reduce
+from .encode import _Vector, semi_elementary_imset
+from .exactlin import _echelon
 from .setfam import (
     Antichain,
     GroundSet,
@@ -373,27 +373,58 @@ def specific_rows(ground: GroundSet, family: str, walk=None) -> Iterator[LinearC
     built from its closure bitset without an Antichain object.
 
     The u row is the indicator of the superset closure.  The kappa vector is
-    the subset-Moebius transform of that indicator,
-    kappa(S) = sum over T inside S of (-1)^|S - T| [T in closure]; its
-    entries on subsets of fewer than two members move to the right-hand
-    side.  Rows equal specific_constraint and char_specific_constraint.
+    the subset-Moebius transform mu_A of that indicator.  It is carried down
+    the walk: the closure of A + m is that of A, plus the supersets of m,
+    less the sets containing both m and a member of A, so
+        mu_{A+m} = mu_A + delta_m - shift_m(mu_A),
+    shift_m sending delta_X to delta_{X | m}.  A per-depth stack keeps the
+    measure of each prefix, so a row costs its parent's support; an item
+    whose prefix is not on the stack (a walk out of depth-first order) is
+    rebuilt from its sets.  Entries on subsets of fewer than two members
+    move to the right-hand side.  Rows equal specific_constraint and
+    char_specific_constraint.
     """
     if family not in ("specific", "kappa-specific"):
         raise ValueError(f"unknown specific family {family!r}")
-    n = ground.n
-    masks = p2_masks(ground)
     tags = tag_key_table(ground)
+    # stack[d]: the first d sets of the last item and their measure
+    stack: list[tuple[tuple[int, ...], dict[int, int]]] = [((), {})]
     for sets, closure in walk_antichains(ground) if walk is None else walk:
         tag = f"{family}:" + ",".join([tags[s] for s in sets])
         if family == "specific":
             bits = [t for t in range(closure.bit_length()) if closure >> t & 1]
             yield LinearConstraint("u", dict.fromkeys(bits, 1), "<=", 1, tag)
             continue
-        indicator = [closure >> t & 1 for t in range(1 << n)]
-        kappa = superset_moebius(indicator[::-1], n)[::-1]
-        coeffs = {m: kappa[m] for m in masks if kappa[m]}
-        rhs = -sum(kappa[1 << i] for i in range(n))
+        depth = min(len(sets) - 1, len(stack) - 1)
+        while stack[depth][0] != sets[:depth]:
+            depth -= 1
+        del stack[depth + 1 :]
+        for m in sets[depth:]:
+            stack.append((stack[-1][0] + (m,), _grow_measure(stack[-1][1], m)))
+        mu = stack[-1][1]
+        coeffs = {s: v for s, v in mu.items() if s & (s - 1)}
+        # minus the entries on singletons
+        rhs = sum(coeffs.values()) - sum(mu.values())
         yield LinearConstraint("c", coeffs, ">=", rhs, tag)
+
+
+def _grow_measure(mu: dict[int, int], m: int) -> dict[int, int]:
+    """mu + delta_m - shift_m(mu), without zero entries."""
+    grown = mu.copy()
+    get = grown.get
+    for t, v in mu.items():
+        t |= m
+        w = get(t, 0) - v
+        if w:
+            grown[t] = w
+        else:
+            del grown[t]
+    w = get(m, 0) + 1
+    if w:
+        grown[m] = w
+    else:
+        del grown[m]
+    return grown
 
 
 def cluster_constraint_c(ground: GroundSet, c: int) -> LinearConstraint:
@@ -508,13 +539,13 @@ def _normalize_int_vector(vec: Sequence) -> tuple[int, ...]:
     den = 1
     for f in fracs:
         den = lcm(den, f.denominator)
-    ints = [int(f * den) for f in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(ints)
+    return _primitive([int(f * den) for f in fracs])
+
+
+def _primitive(ints: Sequence[int]) -> tuple[int, ...]:
+    """An integer vector divided by the gcd of its entries."""
+    g = gcd(*ints)
+    return tuple(ints) if g <= 1 else tuple([x // g for x in ints])
 
 
 def double_description(rows: list[tuple[int, ...]], dim: int) -> list[tuple[int, ...]]:
@@ -523,19 +554,22 @@ def double_description(rows: list[tuple[int, ...]], dim: int) -> list[tuple[int,
     Incremental insertion in incidence-set form (Fukuda & Prodon 1996): each
     ray carries the processed rows it is tight on as an int bitset, from
     which the combinatorial adjacency test reads.  Exact integer arithmetic
-    with coprime normalization of every ray.
+    with coprime normalization of every ray, by one gcd pass.
     """
     # one reduction of [R^T | I]: its pivot columns are the first dim linearly
     # independent rows B, and its right-hand block is (B^T)^-1, whose rows are
     # the rays of the simplicial cone {x : B x >= 0}
     m = len(rows)
-    reduced, pivots = _reduce(
+    reduced, pivots, den = _echelon(
         [[row[k] for row in rows] + [int(j == k) for j in range(dim)] for k in range(dim)]
     )
     basis_idx = [c for c in pivots if c < m]
     if len(basis_idx) < dim:
         raise ValueError("cone is not pointed (constraint rows do not have full rank)")
-    rays = [_normalize_int_vector(r[m:]) for r in reduced]
+    # the rows hold the block over the common denominator den; a negative
+    # den turns each ray around
+    sign = 1 if den > 0 else -1
+    rays = [_primitive([sign * x for x in r[m:]]) for r in reduced]
     basis = sum(1 << i for i in basis_idx)
     tight = [basis & ~(1 << i) for i in basis_idx]
     for idx, row in enumerate(rows):
@@ -561,7 +595,7 @@ def double_description(rows: list[tuple[int, ...]], dim: int) -> list[tuple[int,
                     dots[p] * rays[q][k] - dots[q] * rays[p][k]
                     for k in range(dim)
                 ]
-                new_rays.append(_normalize_int_vector(combo))
+                new_rays.append(_primitive(combo))
                 new_tight.append(common | 1 << idx)
         rays = [rays[k] for k in pos + zero] + new_rays
         tight = [tight[k] for k in pos] + [tight[k] | 1 << idx for k in zero] + new_tight

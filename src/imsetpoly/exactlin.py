@@ -151,11 +151,11 @@ def _pivot(rows: list[list[int]], r: int, col: int, d: int) -> int:
     return p
 
 
-def _reduce(rows: list[tuple]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over the rationals of integer rows, and its
-    pivot columns, which are the columns that raise the rank of the columns
-    before them.  The elimination runs on integers; the rows are divided by
-    their common denominator once, at the end."""
+def _echelon(rows: list[tuple]) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free reduced row echelon form of integer rows: integer rows
+    that hold it over the common denominator d, its pivot columns, which are
+    the columns that raise the rank of the columns before them, and d (which
+    may be negative)."""
     work = [list(row) for row in rows]
     pivots: list[int] = []
     d = 1
@@ -169,6 +169,13 @@ def _reduce(rows: list[tuple]) -> tuple[list[list[Fraction]], list[int]]:
         work[rank], work[r] = work[r], work[rank]
         d = _pivot(work, rank, col, d)
         pivots.append(col)
+    return work, pivots, d
+
+
+def _reduce(rows: list[tuple]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over the rationals of integer rows, and its
+    pivot columns: _echelon's rows divided by their common denominator once."""
+    work, pivots, d = _echelon(rows)
     return [[Fraction(x, d) for x in row] for row in work], pivots
 
 

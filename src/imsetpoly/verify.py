@@ -267,7 +267,7 @@ def _lanes(terms, sense, rhs):
     """The row as lanes (a, r) with integer a and r, each reading
     sum of a[k] c_k - r >= 0: a '<=' row is negated, an equality gives both
     halves, and a row with rational coefficients is scaled to integers."""
-    scale = lcm(Fraction(rhs).denominator, *(Fraction(v).denominator for _, v in terms))
+    scale = lcm(rhs.denominator, *[v.denominator for _, v in terms])
     a = {k: int(v * scale) for k, v in terms}
     r = int(rhs * scale)
     lanes = []
@@ -287,21 +287,29 @@ def _pack(values, width: int) -> int:
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
+def _lane_width(lanes, reach) -> int:
+    """The width w, a whole number of bytes, of lanes that hold
+    sum of a[k] x[k] - r + 2^(w-1) inside [0, 2^w) for every lane (a, r) of
+    lanes at every point x with |x[k]| <= reach[k]."""
+    bound = max(
+        (sum(abs(v) * reach[k] for k, v in a.items()) + abs(r) for a, r in lanes),
+        default=0,
+    )
+    return 8 * ((bound.bit_length() + 8) // 8)
+
+
 def _pack_lanes(lanes, reach):
     """Pack lanes so that one big-int sum checks all of them.
 
     Returns (const, coeffs, high).  At a point x with |x[k]| <= reach[k],
     the int  total = const + sum of coeffs[k] * x[k]  holds, in its w-bit
-    lane i, the value  sum of a[k] x[k] - r + 2^(w-1).  The width w keeps
-    that value inside [0, 2^w), so the borrows of negative coefficients are
-    all paid back and the lanes read exactly: lane i holds when its high bit
-    is set, and every lane holds when total & high == high.
+    lane i, the value  sum of a[k] x[k] - r + 2^(w-1).  The width w
+    (_lane_width) keeps that value inside [0, 2^w), so the borrows of
+    negative coefficients are all paid back and the lanes read exactly: lane
+    i holds when its high bit is set, and every lane holds when
+    total & high == high.
     """
-    bound = max(
-        (sum(abs(v) * reach[k] for k, v in a.items()) + abs(r) for a, r in lanes),
-        default=0,
-    )
-    width = 8 * ((bound.bit_length() + 8) // 8)
+    width = _lane_width(lanes, reach)
     bias = 1 << (width - 1)
     coords = sorted({k for a, _ in lanes for k in a})
     coeffs = {k: _pack([a.get(k, 0) for a, _ in lanes], width) for k in coords}
@@ -446,6 +454,9 @@ def soundness_check(
 
     Uses all equality and cluster rows; all specific rows for n <= 4 and a
     seeded sample of them for n = 5; nonspecific rows when rays are passed.
+    The census is bit-sliced, one int per coordinate with one lane per
+    structure, so each row is evaluated once over all structures; a failing
+    structure is then named with its first violated row.
     """
     t0 = time.perf_counter()
     rays = None if rays is None else list(rays)
@@ -462,22 +473,47 @@ def soundness_check(
         rows.extend(nonspecific_constraints(ground, rays).rows)
     system = ConstraintSystem(ground, "u", tuple(rows))
     compiled = _compile_rows(system)
-    points = sorted(census_characteristic_set(ground))
-    reach = [max(abs(x) for x in column) for column in zip(*points)]
     lanes = [lane for row in compiled for lane in _lanes(*row[:3])]
-    const, coeffs, high = _pack_lanes(lanes, reach)
+    # the census bit-sliced: sliced[k] holds coordinate k (byte k of the
+    # packed sum) of every structure, one w-bit lane each in sorted order
+    classes = _census_data(ground)[1]
+    size = len(p2_masks(ground))
+    data = b"".join([v.to_bytes(size, "big") for v in classes])
+    columns = [data[k::size] for k in range(size)]
+    width = _lane_width(lanes, [max(column) for column in columns])
+    step = width // 8
+    buf = bytearray(len(classes) * step)
+
+    def widen(column: bytes) -> int:
+        buf[0::step] = column
+        return int.from_bytes(buf, "little")
+
+    sliced = [widen(column) for column in columns]
+    ones = widen(bytes([1]) * len(classes))
+    bias = 1 << (width - 1)
+    # each lane row once over the whole census: a structure's lane holds
+    # sum of a[k] c_k - r + bias, in [0, 2^w), and the row holds there when
+    # the lane's high bit is set; held keeps the bits set in every total
+    held = -1
+    for a, r in lanes:
+        total = (bias - r) * ones
+        for k, v in a.items():
+            total += v * sliced[k]
+        held &= total
+    failed = ~held & bias * ones
+    # name the first violated row at the first 16 failing structures, and
+    # count the structures up to the 16th as checked
     witnesses = []
-    checked = 0
-    for point in points:
-        checked += 1
-        total = const + sum(point[k] * packed for k, packed in coeffs.items())
-        if total & high == high:
-            continue
-        # some row fails: name the first one in row order
+    checked = len(classes)
+    while failed and len(witnesses) < 16:
+        low = failed & -failed
+        failed ^= low
+        i = low.bit_length() // width - 1
+        point = _unpack_counts(ground, classes[i])
         tag = _first_violation(compiled, point)
         witnesses.append({"kind": "row_violated", "row": tag, "point": list(point)})
-        if len(witnesses) >= 16:
-            break
+        if len(witnesses) == 16:
+            checked = i + 1
     report = VerificationReport(
         experiment="census-soundness",
         parameters={

@@ -349,6 +349,23 @@ def test_walk_rows_equal_the_per_antichain_rows():
         next(specific_rows(G3, "cluster-u"))
 
 
+def test_kappa_rows_from_any_walk():
+    # the measure carried down the walk must not lean on depth-first order:
+    # a seeded sample, the reversed walk and single items each give the
+    # per-antichain rows
+    rng = random.Random(5)
+    for n in (3, 4, 5):
+        g = GroundSet.of_size(n)
+        walk = list(walk_antichains(g))
+        expected = {sets: char_specific_constraint(Antichain(g, sets)) for sets, _ in walk}
+        sample = rng.sample(walk, min(len(walk), 300))
+        for items in (sample, walk[::-1]):
+            rows = list(specific_rows(g, "kappa-specific", items))
+            assert rows == [expected[sets] for sets, _ in items]
+        for item in rng.sample(walk, min(len(walk), 40)):
+            assert list(specific_rows(g, "kappa-specific", [item])) == [expected[item[0]]]
+
+
 def test_specific_and_kappa_rows_agree_exhaustive_n3():
     antichains = list(enumerate_antichains(G3))
     u_rows = [specific_constraint(a) for a in antichains]
@@ -552,6 +569,19 @@ def test_double_description_on_orthant():
     # a non-pointed cone is rejected
     with pytest.raises(ValueError):
         double_description([(1, 0, 0), (0, 1, 0)], 3)
+
+
+def test_double_description_under_a_negative_denominator():
+    # the start reduction ends on a negative common denominator here (-2);
+    # the integer rays must keep their direction
+    from imsetpoly.exactlin import _echelon
+
+    rows = [(-2, 1, 0), (0, 1, 0), (1, 0, 1), (1, 1, -1)]
+    start = [[row[k] for row in rows] + [int(j == k) for j in range(3)] for k in range(3)]
+    assert _echelon(start)[2] < 0
+    rays = double_description(rows, 3)
+    assert rays == [(-1, 2, 1), (1, 2, -1), (1, 2, 3)]
+    assert rays == brute_force_rays(rows, 3)
 
 
 def brute_force_rays(rows, dim):

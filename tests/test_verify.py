@@ -411,6 +411,89 @@ def test_soundness_witnesses_name_the_first_violated_row(monkeypatch):
     assert report.counts["structures"] == ordered.index(failing[15]) + 1
 
 
+def _per_point_soundness(compiled, ground):
+    """Oracle: the census structures one by one in sorted order, each failing
+    one named by its first violated row, up to the 16th; returns the
+    witnesses and the number of structures looked at."""
+    from imsetpoly.verify import _first_violation
+
+    witnesses = []
+    checked = 0
+    for point in sorted(census_characteristic_set(ground)):
+        checked += 1
+        tag = _first_violation(compiled, point)
+        if tag is not None:
+            witnesses.append({"kind": "row_violated", "row": tag, "point": list(point)})
+            if len(witnesses) == 16:
+                break
+    return witnesses, checked
+
+
+def _failing_kind(count: int) -> str:
+    return "none" if count == 0 else "few" if count < 16 else "many" if count > 16 else "16"
+
+
+def _probe_row(rng, points, kind, tag):
+    """A random compiled row that fails at as many census points as kind
+    says: none, a few (1 to 15) or many (more than 16)."""
+    from imsetpoly.constraint import SENSES
+
+    coefficients = (-3, -2, -1, 1, 2, 3, Fraction(1, 2), Fraction(-2, 3))
+    dim = len(points[0])
+    while True:
+        support = sorted(rng.sample(range(dim), rng.randint(0, min(dim, 4))))
+        terms = tuple((k, rng.choice(coefficients)) for k in support)
+        sense = rng.choice(("<=", ">=", "="))
+        lhs = [sum(v * p[k] for k, v in terms) for p in points]
+        candidates = sorted(set(lhs)) + [min(lhs) - 1, max(lhs) + 1]
+        rng.shuffle(candidates)
+        for rhs in candidates:
+            if _failing_kind(sum(not SENSES[sense](x, rhs) for x in lhs)) == kind:
+                return (terms, sense, rhs, tag)
+
+
+def test_sliced_soundness_matches_the_per_point_route(monkeypatch):
+    # random probe rows (every sense, signed and rational coefficients,
+    # term-free rows that hold or fail) spliced around the compiled rows:
+    # the bit-sliced check must report the witnesses and the structure count
+    # of the point-by-point walk, with none, a few and many failing points
+    from imsetpoly.verify import _first_violation
+
+    compile_rows = verify._compile_rows
+    rng = random.Random(11)
+    seen = set()
+    for ground in (G3, G4):
+        points = sorted(census_characteristic_set(ground))
+        # 11 structures at n = 3: more than 16 can fail only at n = 4
+        kinds = ("none", "few") if ground.n == 3 else ("none", "few", "many")
+        for case in range(24):
+            probes = [
+                _probe_row(rng, points, kind, f"probe{r}")
+                for r, kind in enumerate(
+                    [kinds[case % len(kinds)]]
+                    + [rng.choice(("none", "few")) for _ in range(rng.randint(0, 3))]
+                )
+            ]
+            rng.shuffle(probes)
+            split = rng.randint(0, len(probes))
+            used = []
+
+            def spliced(system):
+                compiled = probes[:split] + compile_rows(system) + probes[split:]
+                used.append(compiled)
+                return compiled
+
+            monkeypatch.setattr(verify, "_compile_rows", spliced)
+            report = soundness_check(ground)
+            witnesses, checked = _per_point_soundness(used.pop(), ground)
+            assert report.witnesses == witnesses
+            assert report.counts["structures"] == checked
+            assert report.passed == (not witnesses)
+            failing = sum(_first_violation(probes, p) is not None for p in points)
+            seen.add((ground.n, _failing_kind(failing)))
+    assert {(3, "none"), (3, "few"), (4, "none"), (4, "few"), (4, "many")} <= seen
+
+
 def test_soundness_sample_draws_the_same_antichains(monkeypatch):
     # the sample is drawn from the walk; it must be the seeded draw from the
     # enumerate_antichains list, each row equal to specific_constraint's
