@@ -43,16 +43,12 @@ from .setfam import (
 SENSES = {">=": operator.ge, "<=": operator.le, "=": operator.eq}
 
 
-class _Fractions(dict):
-    """value -> Fraction(value), looked up at C speed for the values stored
-    and converted afresh for any other."""
-
-    def __missing__(self, value):
-        return Fraction(value)
-
-
-# one shared Fraction per small integer: catalog rows hold little else
-_SMALL_FRACTIONS = _Fractions({k: Fraction(k) for k in range(-16, 17)})
+def _exact(value) -> int | Fraction:
+    """value as an int when it is whole, else as a Fraction."""
+    if type(value) is int:
+        return value
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 class ConeViolationError(RuntimeError):
@@ -64,13 +60,15 @@ class LinearConstraint:
     """One affine row over a framework's coordinates.
 
     Keys of coeffs are subset masks for the 'u' and 'c' frameworks and
-    (i, B) pairs for 'eta'.  Zero coefficients are dropped on construction.
+    (i, B) pairs for 'eta'.  Zero coefficients are dropped on construction;
+    a whole coefficient or right-hand side is stored as an int, any other as
+    a Fraction.
     """
 
     framework: str
     coeffs: Mapping
     sense: str
-    rhs: Fraction
+    rhs: int | Fraction
     tag: str
 
     def __post_init__(self) -> None:
@@ -78,10 +76,9 @@ class LinearConstraint:
             raise ValueError(f"unknown framework {self.framework!r}")
         if self.sense not in SENSES:
             raise ValueError(f"unknown sense {self.sense!r}")
-        fraction = _SMALL_FRACTIONS
-        cleaned = {k: fraction[v] for k, v in self.coeffs.items() if v}
+        cleaned = {k: _exact(v) for k, v in self.coeffs.items() if v}
         object.__setattr__(self, "coeffs", cleaned)
-        object.__setattr__(self, "rhs", fraction[self.rhs])
+        object.__setattr__(self, "rhs", _exact(self.rhs))
 
     def __hash__(self) -> int:
         # coeffs is a dict; hash its items in key order so equal rows agree
@@ -839,9 +836,6 @@ def assemble_system(
             "rays are read only by the 'nonspecific' family of the 'u' framework"
         )
     if framework == "eta":
-        for f in families:
-            if f not in ETA_FAMILIES:
-                raise ValueError(f"unknown eta constraint family {f!r}")
         return eta_system(ground, families)
     rows: list[LinearConstraint] = []
     if framework == "u":

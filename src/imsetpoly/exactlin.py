@@ -172,16 +172,9 @@ def _echelon(rows: list[tuple]) -> tuple[list[list[int]], list[int], int]:
     return work, pivots, d
 
 
-def _reduce(rows: list[tuple]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over the rationals of integer rows, and its
-    pivot columns: _echelon's rows divided by their common denominator once."""
-    work, pivots, d = _echelon(rows)
-    return [[Fraction(x, d) for x in row] for row in work], pivots
-
-
 def _row_rank(rows: list[tuple]) -> int:
-    """Rank over the rationals of a list of equal-length rows."""
-    return len(_reduce(rows)[1])
+    """Rank over the rationals of a list of equal-length integer rows."""
+    return len(_echelon(rows)[1])
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from itertools import product
 from math import lcm, prod
 
 from .constraint import (
-    SENSES,
     ConstraintSystem,
     LinearConstraint,
     assemble_system,
@@ -120,10 +119,13 @@ class EnumerationBox:
 
     def __post_init__(self) -> None:
         masks = p2_masks(self.ground)
-        lower = tuple(int(x) for x in self.lower)
-        upper = tuple(int(x) for x in self.upper)
+        lower = tuple(self.lower)
+        upper = tuple(self.upper)
         if len(lower) != len(masks) or len(upper) != len(masks):
             raise ValueError(f"box needs {len(masks)} bound pairs")
+        for x in lower + upper:
+            if type(x) is not int:
+                raise ValueError(f"box bounds must be ints, got {x!r}")
         if any(lo > hi for lo, hi in zip(lower, upper)):
             raise ValueError("box has an empty coordinate range")
         object.__setattr__(self, "lower", lower)
@@ -219,63 +221,53 @@ def census_equivalence_classes(ground: GroundSet) -> VerificationReport:
 # compiled row evaluation
 
 
-def _as_int(x):
-    # integer coefficients keep row evaluation in plain int arithmetic
-    return int(x) if isinstance(x, Fraction) and x.denominator == 1 else x
-
-
 def _compile_rows(system: ConstraintSystem):
-    """Compile the rows of a 'u' or 'c' system to (terms, sense, rhs, tag)
-    tuples over characteristic coordinates, terms being (index, coefficient)
-    pairs into the ascending list of subsets with >= 2 members.
+    """Compile the rows of a 'u' or 'c' system to lanes (a, r, tag) over
+    characteristic coordinates, each reading  sum of a[k] c_k >= r  with
+    integer a, keyed by index into the ascending list of subsets with >= 2
+    members, and integer r.  A '<=' row is negated, an '=' row gives both
+    halves, and a row with rational entries is scaled to integers once.
 
     A 'u' row a.u <sense> r is pulled back through the exact map
     u = Moebius(1 - c on those subsets): with b the subset-Moebius transform
     of a, it reads  sum of -b(S) c(S)  <sense>  r - sum of b(S),  S ranging
     over the subsets with >= 2 members.  Rows keep the stable order of their
-    own support sizes, so the first violated row at a point is the same in
-    either framework.
+    own support sizes, and a row's lanes are adjacent, so the first violated
+    lane at a point names the same row in either framework.
     """
     ground = system.ground
     n = ground.n
     masks = p2_masks(ground)
-    rows = []
+    lanes = []
     for row in sorted(system.rows, key=lambda r: len(r.coeffs)):
-        rhs = _as_int(row.rhs)
+        # whole entries are ints already; only a row with a Fraction is scaled
+        scale = lcm(row.rhs.denominator, *[v.denominator for v in row.coeffs.values()])
+        entries = row.coeffs
+        if scale > 1:
+            entries = {m: int(v * scale) for m, v in entries.items()}
+        rhs = int(row.rhs * scale)
         if system.framework == "c":
-            coeffs = [_as_int(row.coeffs.get(m, 0)) for m in masks]
+            coeffs = [entries.get(m, 0) for m in masks]
         else:
             a = [0] * (1 << n)
-            for mask, coeff in row.coeffs.items():
-                a[mask] = _as_int(coeff)
+            for mask, coeff in entries.items():
+                a[mask] = coeff
             b = superset_moebius(a[::-1], n)[::-1]
             coeffs = [-b[m] for m in masks]
             rhs += sum(coeffs)
-        terms = tuple((k, v) for k, v in enumerate(coeffs) if v)
-        rows.append((terms, row.sense, rhs, row.tag))
-    return rows
+        terms = {k: v for k, v in enumerate(coeffs) if v}
+        if row.sense != "<=":
+            lanes.append((terms, rhs, row.tag))
+        if row.sense != ">=":
+            lanes.append(({k: -v for k, v in terms.items()}, -rhs, row.tag))
+    return lanes
 
 
-def _first_violation(compiled, vector):
-    for terms, sense, rhs, tag in compiled:
-        if not SENSES[sense](sum(coeff * vector[k] for k, coeff in terms), rhs):
+def _first_violation(lanes, vector):
+    for a, r, tag in lanes:
+        if sum(v * vector[k] for k, v in a.items()) < r:
             return tag
     return None
-
-
-def _lanes(terms, sense, rhs):
-    """The row as lanes (a, r) with integer a and r, each reading
-    sum of a[k] c_k - r >= 0: a '<=' row is negated, an equality gives both
-    halves, and a row with rational coefficients is scaled to integers."""
-    scale = lcm(rhs.denominator, *[v.denominator for _, v in terms])
-    a = {k: int(v * scale) for k, v in terms}
-    r = int(rhs * scale)
-    lanes = []
-    if sense != "<=":
-        lanes.append((a, r))
-    if sense != ">=":
-        lanes.append(({k: -v for k, v in a.items()}, -r))
-    return lanes
 
 
 def _pack(values, width: int) -> int:
@@ -292,7 +284,7 @@ def _lane_width(lanes, reach) -> int:
     sum of a[k] x[k] - r + 2^(w-1) inside [0, 2^w) for every lane (a, r) of
     lanes at every point x with |x[k]| <= reach[k]."""
     bound = max(
-        (sum(abs(v) * reach[k] for k, v in a.items()) + abs(r) for a, r in lanes),
+        (sum(abs(v) * reach[k] for k, v in a.items()) + abs(r) for a, r, _tag in lanes),
         default=0,
     )
     return 8 * ((bound.bit_length() + 8) // 8)
@@ -311,21 +303,21 @@ def _pack_lanes(lanes, reach):
     """
     width = _lane_width(lanes, reach)
     bias = 1 << (width - 1)
-    coords = sorted({k for a, _ in lanes for k in a})
-    coeffs = {k: _pack([a.get(k, 0) for a, _ in lanes], width) for k in coords}
-    const = _pack([bias - r for _, r in lanes], width)
+    coords = sorted({k for a, _r, _tag in lanes for k in a})
+    coeffs = {k: _pack([a.get(k, 0) for a, _r, _tag in lanes], width) for k in coords}
+    const = _pack([bias - r for _a, r, _tag in lanes], width)
     high = _pack([bias] * len(lanes), width)
     return const, coeffs, high
 
 
-def _satisfying_points(compiled, box: EnumerationBox) -> set[tuple[int, ...]]:
-    """The box points satisfying every compiled row, by depth-first search.
+def _satisfying_points(lanes, box: EnumerationBox) -> set[tuple[int, ...]]:
+    """The box points satisfying every compiled lane, by depth-first search.
 
-    Coordinates are fixed in the order (|S|, mask), and each row is attached
+    Coordinates are fixed in the order (|S|, mask), and each lane is attached
     at the depth of its last coordinate in that order.  A node checks only
-    its attached rows, all at once on their packed lanes, for each value of
-    its coordinate; a value that fails a row is pruned with its whole
-    subtree.  Term-free rows attach at depth 0.  The search refuses once it
+    its attached lanes, all at once packed into one int, for each value of
+    its coordinate; a value that fails a lane is pruned with its whole
+    subtree.  Term-free lanes attach at depth 0.  The search refuses once it
     has tried more than SCAN_BUDGET coordinate values in all.
     """
     masks = p2_masks(box.ground)
@@ -333,15 +325,15 @@ def _satisfying_points(compiled, box: EnumerationBox) -> set[tuple[int, ...]]:
     depth_of = {k: d for d, k in enumerate(order)}
     reach = [max(-lo, hi) for lo, hi in zip(box.lower, box.upper)]
     attached = [[] for _ in order]
-    for terms, sense, rhs, _tag in compiled:
-        depth = max((depth_of[k] for k, _ in terms), default=0)
-        attached[depth].extend(_lanes(terms, sense, rhs))
+    for lane in lanes:
+        depth = max((depth_of[k] for k in lane[0]), default=0)
+        attached[depth].append(lane)
     # per depth: coordinate, its range, packed earlier coordinates, packed own
     # coefficients, constant and high bits
     plan = []
-    for d, lanes in enumerate(attached):
+    for d, group in enumerate(attached):
         k = order[d]
-        const, coeffs, high = _pack_lanes(lanes, reach)
+        const, coeffs, high = _pack_lanes(group, reach)
         own = coeffs.pop(k, 0)
         plan.append((k, box.lower[k], box.upper[k], coeffs.items(), own, const, high))
     point = [0] * len(masks)
@@ -400,11 +392,12 @@ def lattice_scan(
         raise ValueError("lattice scans run over the 'u' or 'c' framework")
     if ground.n >= 6:
         raise ValueError("lattice scans are limited to n <= 5")
+    if box.ground != ground:
+        raise ValueError("box ground set does not match")
     rays = None if rays is None else list(rays)
     system = assemble_system(ground, framework, families, rays=rays)
     census = census_characteristic_set(ground)
-    compiled = _compile_rows(system)
-    sat_set = _satisfying_points(compiled, box)
+    sat_set = _satisfying_points(_compile_rows(system), box)
     extra = sorted(sat_set - census)
     missing = sorted(census - sat_set)
     witnesses = [
@@ -472,8 +465,7 @@ def soundness_check(
     if rays is not None:
         rows.extend(nonspecific_constraints(ground, rays).rows)
     system = ConstraintSystem(ground, "u", tuple(rows))
-    compiled = _compile_rows(system)
-    lanes = [lane for row in compiled for lane in _lanes(*row[:3])]
+    lanes = _compile_rows(system)
     # the census bit-sliced: sliced[k] holds coordinate k (byte k of the
     # packed sum) of every structure, one w-bit lane each in sorted order
     classes = _census_data(ground)[1]
@@ -495,7 +487,7 @@ def soundness_check(
     # sum of a[k] c_k - r + bias, in [0, 2^w), and the row holds there when
     # the lane's high bit is set; held keeps the bits set in every total
     held = -1
-    for a, r in lanes:
+    for a, r, _tag in lanes:
         total = (bias - r) * ones
         for k, v in a.items():
             total += v * sliced[k]
@@ -510,7 +502,7 @@ def soundness_check(
         failed ^= low
         i = low.bit_length() // width - 1
         point = _unpack_counts(ground, classes[i])
-        tag = _first_violation(compiled, point)
+        tag = _first_violation(lanes, point)
         witnesses.append({"kind": "row_violated", "row": tag, "point": list(point)})
         if len(witnesses) == 16:
             checked = i + 1
@@ -565,6 +557,8 @@ def relaxation_comparison(
         raise ValueError("relaxation comparison is limited to n <= 4")
     if box is None:
         box = EnumerationBox.default(ground)
+    elif box.ground != ground:
+        raise ValueError("box ground set does not match")
     set_a, set_b = (
         _satisfying_points(_compile_rows(assemble_system(ground, "u", families)), box)
         for families in (

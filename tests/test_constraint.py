@@ -139,9 +139,12 @@ def test_system_json_refuses_an_out_of_range_mask():
 
 
 def test_shared_fractions_keep_value_and_type():
+    # a whole entry is stored as an int, any other as a Fraction
     row = LinearConstraint("u", {1: 2, 2: Fraction(-3), 3: True, 4: 40, 5: "7/2"}, "<=", 1, "t")
     assert row.coeffs == {1: 2, 2: -3, 3: 1, 4: 40, 5: Fraction(7, 2)}
-    assert all(type(v) is Fraction for v in [*row.coeffs.values(), row.rhs])
+    assert [type(v) for v in [*row.coeffs.values(), row.rhs]] == [int] * 4 + [Fraction, int]
+    for rhs, kind in ((Fraction(6, 3), int), ("-4/2", int), (0.5, Fraction), ("1/3", Fraction)):
+        assert type(LinearConstraint("c", {3: 1}, ">=", rhs, "t").rhs) is kind
     with pytest.raises(TypeError):
         LinearConstraint("u", {1: [1]}, "<=", 1, "t")
 
@@ -333,8 +336,8 @@ def test_walk_rows_equal_the_per_antichain_rows():
             assert u_row == specific_constraint(antichain)
             assert c_row == char_specific_constraint(antichain)
             for row in (u_row, c_row):
-                assert all(type(v) is Fraction for v in row.coeffs.values())
-                assert type(row.rhs) is Fraction
+                assert all(type(v) is int for v in row.coeffs.values())
+                assert type(row.rhs) is int
             # the subset-Moebius transform of the closure indicator is the
             # kappa vector of the recursion over the union closure
             indicator = [closure >> t & 1 for t in range(1 << n)]
@@ -794,6 +797,10 @@ def test_assemble_system_counts():
         assemble_system(G3, "u", ("nonneg",))
     with pytest.raises(ValueError):
         assemble_system(G3, "q", ("equality",))
+    with pytest.raises(ValueError, match="^unknown eta constraint family 'oddball'$"):
+        assemble_system(G3, "eta", ("nonneg", "oddball"))
+    with pytest.raises(ValueError, match="^constraint family 'nonneg' is listed twice$"):
+        assemble_system(G3, "eta", ("nonneg", "equality", "nonneg"))
 
 
 def test_assemble_system_refuses_rays_it_would_not_read():

@@ -16,7 +16,7 @@ from imsetpoly.encode import (
 from imsetpoly.exactlin import (
     IntMatrix,
     RatVector,
-    _reduce,
+    _echelon,
     _row_rank,
     build_b_u,
     build_matrix_A,
@@ -88,6 +88,12 @@ def fraction_rref(rows):
         fraction_pivot(work, rank, col)
         pivots.append(col)
     return work, pivots
+
+
+def echelon_rref(rows):
+    """_echelon's integer rows divided by their common denominator d."""
+    work, pivots, d = _echelon(rows)
+    return [[Fraction(x, d) for x in row] for row in work], pivots
 
 
 def fraction_phase_one(m, b):
@@ -314,7 +320,7 @@ def test_reduce_pivots_are_the_rank_raising_columns():
             # a dependent row, so the rank falls short of the row count
             entries[0] = [a - b for a, b in zip(entries[1], entries[2])]
         entries = [tuple(row) for row in entries]
-        rref, pivots = _reduce(entries)
+        rref, pivots = echelon_rref(entries)
         assert pivots == [
             j for j in range(cols)
             if prefix_rank(entries, j + 1) > prefix_rank(entries, j)
@@ -323,7 +329,7 @@ def test_reduce_pivots_are_the_rank_raising_columns():
         for k, col in enumerate(pivots):
             assert [row[col] for row in rref] == [int(i == k) for i in range(rows)]
         assert all(not any(row) for row in rref[len(pivots):])
-    assert _reduce([]) == ([], [])
+    assert echelon_rref([]) == ([], [])
 
 
 def test_reduce_matches_fraction_rref():
@@ -342,7 +348,7 @@ def test_reduce_matches_fraction_rref():
         # a negative first pivot
         entries[0][0] = -rng.randint(1, 4)
         entries = [tuple(row) for row in entries]
-        rref, pivots = _reduce(entries)
+        rref, pivots = echelon_rref(entries)
         assert (rref, pivots) == fraction_rref(entries)
         deficient += len(pivots) < rows
     assert deficient > 0

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from imsetpoly import verify
+from imsetpoly.constraint import ConstraintSystem, LinearConstraint
 from imsetpoly.digraph import (
     DirectedGraph,
     _unpack_counts,
@@ -23,6 +24,7 @@ from imsetpoly.verify import (
     IMAGE_TYPES_N3,
     VERTEX_TYPES_N3,
     VerificationReport,
+    _compile_rows,
     census_characteristic_set,
     census_equivalence_classes,
     example5_image_check,
@@ -80,6 +82,13 @@ def test_enumeration_box():
         EnumerationBox(G3, (0, 0, 0), (1, 1, 1, 1))
     with pytest.raises(ValueError):
         EnumerationBox(G3, (0, 0, 0, 2), (1, 1, 1, 1))
+    # a bound is never truncated or parsed: 0.5 and 1.9 must not read as 0
+    # and 1, nor "1" as 1
+    for bad in (0.5, 1.9, "1", Fraction(1, 2), Fraction(2, 1)):
+        with pytest.raises(ValueError, match=r"^box bounds must be ints, got "):
+            EnumerationBox(G3, (0, 0, 0, bad), (1, 1, 1, 2))
+        with pytest.raises(ValueError, match=r"^box bounds must be ints, got "):
+            EnumerationBox(G3, (0, 0, 0, 0), (bad, 1, 1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -228,45 +237,64 @@ def test_scan_rejects_unknown_framework():
         lattice_scan(G3, "eta", ("equality",), EnumerationBox.zero_one(G3))
 
 
+def test_scan_refuses_a_box_over_another_ground_set():
+    # the points of another ground set's box do not stand for this ground
+    # set's structures, so any verdict on them would be false
+    for box in (EnumerationBox.default(G4), EnumerationBox.zero_one(GroundSet(("x", "y", "z")))):
+        with pytest.raises(ValueError, match="^box ground set does not match$"):
+            lattice_scan(G3, "c", ("kappa-specific", "cluster-c"), box)
+
+
 def test_u_rows_pulled_back_match_the_c_rows():
     # the compiler maps u rows to c coordinates through u = Moebius(1 - c);
     # the c families are built by the kappa recursion, an independent route
     from imsetpoly.constraint import (
-        ConstraintSystem,
         char_specific_constraint,
         cluster_constraint_c,
         cluster_constraint_u,
         specific_constraint,
         u_equality_system,
     )
-    from imsetpoly.setfam import enumerate_antichains, p2_masks
-    from imsetpoly.verify import _compile_rows
+    from imsetpoly.setfam import enumerate_antichains
 
-    def compiled(ground, row):
-        return _compile_rows(ConstraintSystem(ground, row.framework, (row,)))[0]
+    def lanes(ground, row):
+        return [lane[:2] for lane in _compiled(ground, row.framework, [row])]
 
     for ground, antichains, clusters in ((G3, 18, 4), (G4, 166, 11), (G5, 7579, 26)):
         specific = list(enumerate_antichains(ground))
         assert len(specific) == antichains and len(p2_masks(ground)) == clusters
         for antichain in specific:
-            # a.u <= 1 pulls back to the kappa row a'.c >= r' times -1
+            # a.u <= 1 pulls back to the kappa row a'.c >= r' times -1, and
+            # its lane, negated as every '<=' lane is, is the kappa row's
             u_row = specific_constraint(antichain)
             c_row = char_specific_constraint(antichain)
-            terms, sense, rhs, _ = compiled(ground, u_row)
-            c_terms, c_sense, c_rhs, _ = compiled(ground, c_row)
-            assert (sense, c_sense) == ("<=", ">=")
-            assert terms == tuple((k, -v) for k, v in c_terms) and rhs == -c_rhs
+            assert (u_row.sense, c_row.sense) == ("<=", ">=")
+            u_lanes = lanes(ground, u_row)
+            assert len(u_lanes) == 1 and u_lanes == lanes(ground, c_row)
         for c in p2_masks(ground):
-            u_row = compiled(ground, cluster_constraint_u(ground, c))
-            assert u_row[:3] == compiled(ground, cluster_constraint_c(ground, c))[:3]
+            u_lanes = lanes(ground, cluster_constraint_u(ground, c))
+            assert u_lanes == lanes(ground, cluster_constraint_c(ground, c))
         for row in u_equality_system(ground):
-            assert compiled(ground, row)[:3] == ((), "=", 0)
+            assert lanes(ground, row) == [({}, 0), ({}, 0)]
+
+
+def _compiled(ground, framework, rows):
+    # the lanes of a system of the given rows, by the compiler as imported,
+    # not as a test may have patched it
+    return _compile_rows(ConstraintSystem(ground, framework, tuple(rows)))
+
+
+def _c_row(ground, terms, sense, rhs, tag):
+    # a 'c' row from (index, coefficient) terms over the subsets with >= 2
+    # members in ascending order
+    masks = p2_masks(ground)
+    return LinearConstraint("c", {masks[k]: v for k, v in terms}, sense, rhs, tag)
 
 
 def _brute_force_points(ground, framework, families, box):
     # the box walk the search replaces: every point, every row
     from imsetpoly.constraint import assemble_system
-    from imsetpoly.verify import _compile_rows, _first_violation
+    from imsetpoly.verify import _first_violation
 
     compiled = _compile_rows(assemble_system(ground, framework, families))
     return [list(p) for p in box.points() if _first_violation(compiled, p) is None]
@@ -307,21 +335,24 @@ def test_pruned_search_matches_the_box_walk():
 def test_pruned_search_on_random_rows():
     # rows with any senses, signs, rational coefficients and right-hand
     # sides, over boxes that reach below zero
-    from imsetpoly.verify import _first_violation, _satisfying_points
+    from imsetpoly.verify import _satisfying_points
 
     rng = random.Random(3)
+    masks = p2_masks(G3)
     coefficients = (-3, -2, -1, 1, 2, 3, Fraction(1, 2), Fraction(-2, 3))
     for _ in range(300):
         lower = [rng.randint(-2, 1) for _ in range(4)]
         box = EnumerationBox(G3, lower, [lo + rng.randint(0, 2) for lo in lower])
-        compiled = []
+        rows = []
         for r in range(rng.randint(0, 4)):
             support = sorted(rng.sample(range(4), rng.randint(1, 4)))
             terms = tuple((k, rng.choice(coefficients)) for k in support)
             sense = rng.choice(("<=", ">=", "="))
-            compiled.append((terms, sense, rng.randint(-4, 4), f"row{r}"))
-        expected = {p for p in box.points() if _first_violation(compiled, p) is None}
-        assert _satisfying_points(compiled, box) == expected, compiled
+            rows.append(_c_row(G3, terms, sense, rng.randint(-4, 4), f"row{r}"))
+        # the oracle reads the rows themselves, in exact rationals
+        system = ConstraintSystem(G3, "c", tuple(rows))
+        expected = {p for p in box.points() if system.satisfied_by(dict(zip(masks, p)))}
+        assert _satisfying_points(_compiled(G3, "c", rows), box) == expected, rows
 
 
 def test_pruned_search_far_from_zero():
@@ -330,10 +361,12 @@ def test_pruned_search_far_from_zero():
 
     g2 = GroundSet.of_size(2)
     box = EnumerationBox(g2, (-1000,), (-990,))
-    assert _satisfying_points([(((0, 1),), ">=", 990, "row")], box) == set()
-    assert _satisfying_points([(((0, -1),), ">=", 995, "row")], box) == {
-        (v,) for v in range(-1000, -994)
-    }
+
+    def points(terms, sense, rhs):
+        return _satisfying_points(_compiled(g2, "c", [_c_row(g2, terms, sense, rhs, "row")]), box)
+
+    assert points(((0, 1),), ">=", 990) == set()
+    assert points(((0, -1),), ">=", 995) == {(v,) for v in range(-1000, -994)}
 
 
 def test_term_free_rows_ride_the_lanes():
@@ -342,13 +375,17 @@ def test_term_free_rows_ride_the_lanes():
     from imsetpoly.verify import _satisfying_points
 
     box = EnumerationBox.zero_one(G3)
-    row = (((0, 1), (3, -1)), ">=", 0, "row")
-    kept = _satisfying_points([row], box)
+    row = _c_row(G3, ((0, 1), (3, -1)), ">=", 0, "row")
+
+    def points(*rows):
+        return _satisfying_points(_compiled(G3, "c", rows), box)
+
+    kept = points(row)
     assert len(kept) == 12
-    assert _satisfying_points([((), "=", 0, "vacuous"), row], box) == kept
-    assert _satisfying_points([row, ((), "<=", Fraction(1, 2), "half")], box) == kept
-    assert _satisfying_points([((), ">=", 1, "false"), row], box) == set()
-    assert _satisfying_points([row, ((), "=", Fraction(-1, 3), "third")], box) == set()
+    assert points(_c_row(G3, (), "=", 0, "vacuous"), row) == kept
+    assert points(row, _c_row(G3, (), "<=", Fraction(1, 2), "half")) == kept
+    assert points(_c_row(G3, (), ">=", 1, "false"), row) == set()
+    assert points(row, _c_row(G3, (), "=", Fraction(-1, 3), "third")) == set()
 
 
 def test_scan_report_is_deterministic():
@@ -396,10 +433,9 @@ def test_soundness_witnesses_name_the_first_violated_row(monkeypatch):
     # structure with an a-b edge; the report must match a row-by-row check
     from imsetpoly import verify
 
-    compile_rows = verify._compile_rows
-    probe = (((0, 1),), "<=", 0, "probe")
+    probe = _compiled(G4, "c", [_c_row(G4, ((0, 1),), "<=", 0, "probe")])
     monkeypatch.setattr(
-        verify, "_compile_rows", lambda system: compile_rows(system) + [probe]
+        verify, "_compile_rows", lambda system: _compile_rows(system) + probe
     )
     report = soundness_check(G4)
     ordered = sorted(census_characteristic_set(G4))
@@ -433,9 +469,9 @@ def _failing_kind(count: int) -> str:
     return "none" if count == 0 else "few" if count < 16 else "many" if count > 16 else "16"
 
 
-def _probe_row(rng, points, kind, tag):
-    """A random compiled row that fails at as many census points as kind
-    says: none, a few (1 to 15) or many (more than 16)."""
+def _probe_row(rng, ground, points, kind, tag):
+    """A random 'c' row that fails at as many census points as kind says:
+    none, a few (1 to 15) or many (more than 16)."""
     from imsetpoly.constraint import SENSES
 
     coefficients = (-3, -2, -1, 1, 2, 3, Fraction(1, 2), Fraction(-2, 3))
@@ -449,7 +485,7 @@ def _probe_row(rng, points, kind, tag):
         rng.shuffle(candidates)
         for rhs in candidates:
             if _failing_kind(sum(not SENSES[sense](x, rhs) for x in lhs)) == kind:
-                return (terms, sense, rhs, tag)
+                return _c_row(ground, terms, sense, rhs, tag)
 
 
 def test_sliced_soundness_matches_the_per_point_route(monkeypatch):
@@ -457,18 +493,16 @@ def test_sliced_soundness_matches_the_per_point_route(monkeypatch):
     # term-free rows that hold or fail) spliced around the compiled rows:
     # the bit-sliced check must report the witnesses and the structure count
     # of the point-by-point walk, with none, a few and many failing points
-    from imsetpoly.verify import _first_violation
-
-    compile_rows = verify._compile_rows
     rng = random.Random(11)
     seen = set()
     for ground in (G3, G4):
+        masks = p2_masks(ground)
         points = sorted(census_characteristic_set(ground))
         # 11 structures at n = 3: more than 16 can fail only at n = 4
         kinds = ("none", "few") if ground.n == 3 else ("none", "few", "many")
         for case in range(24):
             probes = [
-                _probe_row(rng, points, kind, f"probe{r}")
+                _probe_row(rng, ground, points, kind, f"probe{r}")
                 for r, kind in enumerate(
                     [kinds[case % len(kinds)]]
                     + [rng.choice(("none", "few")) for _ in range(rng.randint(0, 3))]
@@ -476,10 +510,15 @@ def test_sliced_soundness_matches_the_per_point_route(monkeypatch):
             ]
             rng.shuffle(probes)
             split = rng.randint(0, len(probes))
+            # each probe compiled on its own, so the probes keep their order
+            before, after = (
+                [lane for probe in part for lane in _compiled(ground, "c", [probe])]
+                for part in (probes[:split], probes[split:])
+            )
             used = []
 
             def spliced(system):
-                compiled = probes[:split] + compile_rows(system) + probes[split:]
+                compiled = before + _compile_rows(system) + after
                 used.append(compiled)
                 return compiled
 
@@ -489,7 +528,8 @@ def test_sliced_soundness_matches_the_per_point_route(monkeypatch):
             assert report.witnesses == witnesses
             assert report.counts["structures"] == checked
             assert report.passed == (not witnesses)
-            failing = sum(_first_violation(probes, p) is not None for p in points)
+            system = ConstraintSystem(ground, "c", tuple(probes))
+            failing = sum(not system.satisfied_by(dict(zip(masks, p))) for p in points)
             seen.add((ground.n, _failing_kind(failing)))
     assert {(3, "none"), (3, "few"), (4, "none"), (4, "few"), (4, "many")} <= seen
 
@@ -551,6 +591,11 @@ def test_relaxation_comparison():
     assert witness["violates_a_nonspecific_row"]
     with pytest.raises(ValueError):
         relaxation_comparison(G5)
+
+
+def test_relaxation_comparison_refuses_a_box_over_another_ground_set():
+    with pytest.raises(ValueError, match="^box ground set does not match$"):
+        relaxation_comparison(G3, EnumerationBox.zero_one(G4))
 
 
 # ---------------------------------------------------------------------------
