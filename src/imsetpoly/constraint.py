@@ -26,6 +26,7 @@ from .setfam import (
     _json_text,
     _rational_entries,
     _submasks,
+    _superset_bits,
     _up_set,
     _write_text,
     bits_of,
@@ -76,7 +77,9 @@ class LinearConstraint:
             raise ValueError(f"unknown framework {self.framework!r}")
         if self.sense not in SENSES:
             raise ValueError(f"unknown sense {self.sense!r}")
-        cleaned = {k: _exact(v) for k, v in self.coeffs.items() if v}
+        cleaned = {
+            k: v if type(v) is int else _exact(v) for k, v in self.coeffs.items() if v
+        }
         object.__setattr__(self, "coeffs", cleaned)
         object.__setattr__(self, "rhs", _exact(self.rhs))
 
@@ -129,19 +132,19 @@ class ConstraintSystem:
     def to_json_text(self) -> str:
         """The catalog as setfam._json_text prints it (sorted keys, indent 1,
         non-ASCII kept), written straight from the rows: each coefficient
-        key is rendered once per system, and a row's keys are sorted by
-        their raw strings, as sort_keys does."""
+        key and each (key, value) line is rendered once per system, and a
+        row's keys are sorted by their raw strings, as sort_keys does."""
         ground = self.ground
         if self.framework == "eta":
             name = _Rendered(lambda key: ground.pair_key(*key))
         else:
             name = _Rendered(ground.subset_key)
-        line = _Rendered(lambda key: f'    {_quote(name[key])}: "')
+        cell = _Rendered(lambda item: f'    {_quote(name[item[0]])}: "{item[1]}"')
         rows = []
         for row in self.rows:
             coeffs = row.coeffs
             body = ",\n".join(
-                [line[k] + str(coeffs[k]) + '"' for k in sorted(coeffs, key=name.__getitem__)]
+                [cell[k, coeffs[k]] for k in sorted(coeffs, key=name.__getitem__)]
             )
             rows.append(
                 '  {\n   "coeffs": '
@@ -367,42 +370,53 @@ def char_specific_constraint(antichain: Antichain) -> LinearConstraint:
 def specific_rows(ground: GroundSet, family: str, walk=None) -> Iterator[LinearConstraint]:
     """The 'specific' (u) or 'kappa-specific' (c) row of every antichain in
     walk, a sequence of walk_antichains items (by default the whole walk),
-    built from its closure bitset without an Antichain object.
+    built without an Antichain object.
 
-    The u row is the indicator of the superset closure.  The kappa vector is
+    The u row is the indicator of the superset closure: the closure of
+    A + m is that of A joined with the supersets of m.  The kappa vector is
     the subset-Moebius transform mu_A of that indicator.  It is carried down
-    the walk: the closure of A + m is that of A, plus the supersets of m,
-    less the sets containing both m and a member of A, so
+    the walk too: the closure of A + m also loses the sets containing both m
+    and a member of A, so
         mu_{A+m} = mu_A + delta_m - shift_m(mu_A),
     shift_m sending delta_X to delta_{X | m}.  A per-depth stack keeps the
-    measure of each prefix, so a row costs its parent's support; an item
-    whose prefix is not on the stack (a walk out of depth-first order) is
-    rebuilt from its sets.  Entries on subsets of fewer than two members
-    move to the right-hand side.  Rows equal specific_constraint and
-    char_specific_constraint.
+    entries and tag of each prefix, so a row costs its parent's support; an
+    item whose prefix is not on the stack (a walk out of depth-first order)
+    is rebuilt from its sets.  mu_A is 1 on each singleton member of A, and
+    those entries move to the right-hand side.  Rows equal
+    specific_constraint and char_specific_constraint; a u row's coeffs are
+    in growth order.
     """
-    if family not in ("specific", "kappa-specific"):
+    if family == "specific":
+        up = [dict.fromkeys(bits_of(b), 1) for b in _superset_bits(ground.n)]
+
+        def grow(entries, m):
+            return entries | up[m]
+
+    elif family == "kappa-specific":
+        grow = _grow_measure
+    else:
         raise ValueError(f"unknown specific family {family!r}")
     tags = tag_key_table(ground)
-    # stack[d]: the first d sets of the last item and their measure
-    stack: list[tuple[tuple[int, ...], dict[int, int]]] = [((), {})]
-    for sets, closure in walk_antichains(ground) if walk is None else walk:
-        tag = f"{family}:" + ",".join([tags[s] for s in sets])
-        if family == "specific":
-            bits = [t for t in range(closure.bit_length()) if closure >> t & 1]
-            yield LinearConstraint("u", dict.fromkeys(bits, 1), "<=", 1, tag)
-            continue
+    # stack[d]: the first d sets of the last item, their entries and tag
+    stack: list[tuple[tuple[int, ...], dict[int, int], str]] = [((), {}, f"{family}:")]
+    for sets, _ in walk_antichains(ground) if walk is None else walk:
         depth = min(len(sets) - 1, len(stack) - 1)
         while stack[depth][0] != sets[:depth]:
             depth -= 1
         del stack[depth + 1 :]
         for m in sets[depth:]:
-            stack.append((stack[-1][0] + (m,), _grow_measure(stack[-1][1], m)))
-        mu = stack[-1][1]
-        coeffs = {s: v for s, v in mu.items() if s & (s - 1)}
-        # minus the entries on singletons
-        rhs = sum(coeffs.values()) - sum(mu.values())
-        yield LinearConstraint("c", coeffs, ">=", rhs, tag)
+            prefix, entries, tag = stack[-1]
+            tag = (tag + "," if prefix else tag) + tags[m]
+            stack.append((prefix + (m,), grow(entries, m), tag))
+        _, entries, tag = stack[-1]
+        if family == "specific":
+            yield LinearConstraint("u", entries, "<=", 1, tag)
+            continue
+        coeffs = entries.copy()
+        for s in sets:
+            if not s & (s - 1):
+                del coeffs[s]
+        yield LinearConstraint("c", coeffs, ">=", len(coeffs) - len(entries), tag)
 
 
 def _grow_measure(mu: dict[int, int], m: int) -> dict[int, int]:

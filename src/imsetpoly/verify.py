@@ -233,13 +233,19 @@ def _compile_rows(system: ConstraintSystem):
     of a, it reads  sum of -b(S) c(S)  <sense>  r - sum of b(S),  S ranging
     over the subsets with >= 2 members.  Rows keep the stable order of their
     own support sizes, and a row's lanes are adjacent, so the first violated
-    lane at a point names the same row in either framework.
+    lane at a point names the same row in either framework.  A key outside
+    the framework's coordinates is refused with the row's tag.
     """
     ground = system.ground
     n = ground.n
     masks = p2_masks(ground)
+    keys = frozenset(masks if system.framework == "c" else range(1 << n))
     lanes = []
     for row in sorted(system.rows, key=lambda r: len(r.coeffs)):
+        if not row.coeffs.keys() <= keys:
+            raise ValueError(
+                f"row {row.tag!r} has a key outside the {system.framework!r} coordinates"
+            )
         # whole entries are ints already; only a row with a Fraction is scaled
         scale = lcm(row.rhs.denominator, *[v.denominator for v in row.coeffs.values()])
         entries = row.coeffs

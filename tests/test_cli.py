@@ -217,6 +217,11 @@ N5_CATALOG_DIGESTS = {
 N5_CATALOG_DIGESTS["constraints --n 5 --framework c --format lp"] = (
     "265ad3b2b97d662c008df5165763b9b3aaf595049eab3e30a4808c8d711a80b0"
 )
+# sha256 of the LP export of the n = 5 u catalog, recorded while the u rows'
+# coefficient dicts were still built in ascending mask order
+N5_CATALOG_DIGESTS[
+    "constraints --n 5 --framework u --families equality,specific,cluster-u --format lp"
+] = "8dbf0f49c8dbc574780a7986bafd92d3be598cd4dae9e960b499480a87ff5dd2"
 
 
 @pytest.mark.parametrize("command", sorted(N5_CATALOG_DIGESTS))

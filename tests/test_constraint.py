@@ -369,6 +369,24 @@ def test_kappa_rows_from_any_walk():
             assert list(specific_rows(g, "kappa-specific", [item])) == [expected[item[0]]]
 
 
+def test_specific_rows_from_any_walk():
+    # the same for the u rows, whose closure indicator may also be carried
+    # down the walk; each row's keys are exactly the set bits of its closure
+    rng = random.Random(5)
+    for n in (3, 4, 5):
+        g = GroundSet.of_size(n)
+        walk = list(walk_antichains(g))
+        expected = {sets: specific_constraint(Antichain(g, sets)) for sets, _ in walk}
+        sample = rng.sample(walk, min(len(walk), 300))
+        for items in (walk, sample, walk[::-1]):
+            rows = list(specific_rows(g, "specific", items))
+            assert rows == [expected[sets] for sets, _ in items]
+            for row, (_, closure) in zip(rows, items):
+                assert row.coeffs.keys() == {t for t in range(1 << n) if closure >> t & 1}
+        for item in rng.sample(walk, min(len(walk), 40)):
+            assert list(specific_rows(g, "specific", [item])) == [expected[item[0]]]
+
+
 def test_specific_and_kappa_rows_agree_exhaustive_n3():
     antichains = list(enumerate_antichains(G3))
     u_rows = [specific_constraint(a) for a in antichains]

@@ -278,6 +278,19 @@ def test_u_rows_pulled_back_match_the_c_rows():
             assert lanes(ground, row) == [({}, 0), ({}, 0)]
 
 
+def test_compile_rows_refuses_a_key_outside_the_coordinates():
+    # a c row is keyed by the subsets with >= 2 members and a u row by all
+    # 2**n subsets; a key outside them would be dropped or misread, so the
+    # compiler names the row instead
+    base = LinearConstraint("c", {3: 1}, ">=", 0, "kept")
+    for framework, key in (("c", 1), ("c", 9), ("u", -1), ("u", 8)):
+        row = LinearConstraint(framework, {3: 1, key: 5}, ">=", 1, f"bad-{key}")
+        rows = [row] if framework == "u" else [base, row]
+        with pytest.raises(ValueError, match=f"'bad-{key}'"):
+            _compiled(G3, framework, rows)
+    assert _compiled(G3, "c", [base]) == [({0: 1}, 0, "kept")]
+
+
 def _compiled(ground, framework, rows):
     # the lanes of a system of the given rows, by the compiler as imported,
     # not as a test may have patched it
