@@ -27,8 +27,6 @@ from .constraint import (
     _dual_cone_violation,
     assemble_system,
     conic_decompose,
-    load_ray_file,
-    save_ray_file,
     supermodular_rays,
     y_of_class,
 )
@@ -115,16 +113,36 @@ def _box(args, ground: GroundSet) -> EnumerationBox:
 def _families(args, framework: str):
     if args.families is None:
         return DEFAULT_FAMILIES[framework]
-    families = tuple(f.strip() for f in args.families.split(",") if f.strip())
-    if not families:
-        raise ValueError("empty family list")
+    families = tuple(f.strip() for f in args.families.split(","))
+    if "" in families:
+        raise ValueError(f"--families {args.families!r} names an empty family")
     return families
+
+
+class _JsonDecimal(Fraction):
+    """A JSON decimal read as the exact rational it writes, not the nearest
+    double; its repr is the text it was written as."""
+
+    __slots__ = ("_text",)
+
+    def __new__(cls, text: str):
+        exponent = text.lower().partition("e")[2].lstrip("+-").lstrip("0")
+        # the range a double covered; past it Fraction would build an int
+        # with as many digits as the exponent says
+        if len(exponent) > 3 or int(exponent or 0) > 308:
+            raise ValueError(f"JSON number {text} has an exponent outside ±308")
+        self = super().__new__(cls, text)
+        self._text = text
+        return self
+
+    def __repr__(self) -> str:
+        return self._text
 
 
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_float=_JsonDecimal)
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
@@ -137,9 +155,8 @@ def _cmd_census(args) -> int:
 
 def _cmd_scan(args) -> int:
     ground = _ground(args)
-    rays = None if args.rays is None else load_ray_file(ground, args.rays)
     families = _families(args, args.framework)
-    report = lattice_scan(ground, args.framework, families, _box(args, ground), rays=rays)
+    report = lattice_scan(ground, args.framework, families, _box(args, ground))
     return _report_exit(report, args.out)
 
 
@@ -168,15 +185,8 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_constraints(args) -> int:
-    ground = _ground(args)
-    rays = None if args.rays is None else load_ray_file(ground, args.rays)
-    system = assemble_system(
-        ground, args.framework, _families(args, args.framework), rays=rays
-    )
-    if args.format == "lp":
-        _emit(system.to_lp(), args.out)
-    else:
-        _emit(system.to_json_text(), args.out)
+    system = assemble_system(_ground(args), args.framework, _families(args, args.framework))
+    _emit(system.to_lp() if args.format == "lp" else system.to_json_text(), args.out)
     return 0
 
 
@@ -272,14 +282,9 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_rays(args) -> int:
-    ground = _ground(args)
     source = "builtin" if args.method == "builtin" else "computed"
-    rays = supermodular_rays(ground, source)
-    if args.out is not None:
-        save_ray_file(rays, args.out)
-        sys.stdout.write(f"{len(rays)} rays written to {args.out}\n")
-    else:
-        _emit_json([ray.to_json_dict() for ray in rays], None)
+    rays = supermodular_rays(_ground(args), source)
+    _emit_json([ray.to_json_dict() for ray in rays], args.out)
     return 0
 
 
@@ -334,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--families", help="comma-separated family names (default: all for the framework)"
     )
     p.add_argument("--box", choices=("01", "default"), default="default")
-    p.add_argument("--rays", help="JSON ray file for the nonspecific family")
     add_out(p)
     p.set_defaults(func=_cmd_scan)
 
@@ -368,7 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--framework", choices=("eta", "u", "c"), required=True)
     p.add_argument("--families")
     p.add_argument("--format", choices=("json", "lp"), default="json")
-    p.add_argument("--rays")
     add_out(p)
     p.set_defaults(func=_cmd_constraints)
 
@@ -393,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_out(p)
     p.set_defaults(func=_cmd_decompose)
 
-    p = sub.add_parser("rays", help="list or save extreme supermodular rays")
+    p = sub.add_parser("rays", help="list extreme supermodular rays")
     add_n(p)
     p.add_argument("--method", choices=("builtin", "dd"), default="builtin")
     add_out(p)

@@ -12,7 +12,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring as _quote
-from math import gcd, lcm
+from math import gcd
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .encode import _Vector, semi_elementary_imset
@@ -22,13 +22,10 @@ from .setfam import (
     GroundSet,
     SetClass,
     _ground_from_labels,
-    _integer_entries,
-    _json_text,
     _rational_entries,
     _submasks,
     _superset_bits,
     _up_set,
-    _write_text,
     bits_of,
     eta_pairs,
     minimal_sets,
@@ -544,15 +541,6 @@ def nonspecific_constraints(
     return ConstraintSystem(ground, "u", tuple(rows))
 
 
-def _normalize_int_vector(vec: Sequence) -> tuple[int, ...]:
-    """Scale a rational vector to coprime integers, keeping its direction."""
-    fracs = [Fraction(x) for x in vec]
-    den = 1
-    for f in fracs:
-        den = lcm(den, f.denominator)
-    return _primitive([int(f * den) for f in fracs])
-
-
 def _primitive(ints: Sequence[int]) -> tuple[int, ...]:
     """An integer vector divided by the gcd of its entries."""
     g = gcd(*ints)
@@ -637,10 +625,8 @@ def supermodular_rays(ground: GroundSet, source: str = "builtin") -> list[Superm
     """Extreme rays of the cone of standardized supermodular functions,
     normalized to coprime integers.
 
-    source is 'builtin' (n=3 only), 'computed' (exact double description,
-    n <= 4; at n = 5 it had done 38 of 54 insertions after 196 s on 2 vCPUs),
-    or a path to a ray file.  File rays are re-validated for supermodularity and
-    standardization; extremality of file rays is trusted, not re-verified.
+    source is 'builtin' (n=3 only) or 'computed' (exact double description,
+    n <= 4; at n = 5 it had done 38 of 54 insertions after 196 s on 2 vCPUs).
     """
     if source == "builtin":
         if ground.n != 3:
@@ -659,44 +645,7 @@ def supermodular_rays(ground: GroundSet, source: str = "builtin") -> list[Superm
                 values[mask] = v
             out.append(SupermodularFunction(ground, tuple(values)))
         return out
-    return load_ray_file(ground, source)
-
-
-def load_ray_file(ground: GroundSet, path) -> list[SupermodularFunction]:
-    """Read a JSON list of {"entries": {subset-key: int}} ray records."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ValueError(f"cannot read ray file: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"ray file is not valid JSON: {exc}") from None
-    if not isinstance(data, list):
-        raise ValueError("ray file must contain a JSON list of ray records")
-    rays = []
-    first_record: dict[tuple, int] = {}
-    for k, record in enumerate(data):
-        if not isinstance(record, dict) or "entries" not in record:
-            raise ValueError(f"ray record {k} is missing its 'entries' table")
-        values = [0] * (1 << ground.n)
-        for key, v in _integer_entries(record["entries"]):
-            values[ground.parse_subset(key)] = v
-        ray = SupermodularFunction(ground, _normalize_int_vector(values))
-        if not any(ray.values):
-            raise ValueError(f"ray record {k} is zero")
-        j = first_record.setdefault(ray.values, k)
-        if j != k:
-            raise ValueError(f"ray record {k} repeats record {j} up to scaling")
-        if not ray.is_standardized():
-            raise ValueError(f"ray record {k} is not standardized")
-        if not is_supermodular(ray):
-            raise ValueError(f"ray record {k} is not supermodular")
-        rays.append(ray)
-    return rays
-
-
-def save_ray_file(rays: Sequence[SupermodularFunction], path) -> None:
-    _write_text(_json_text([ray.to_json_dict() for ray in rays]), path)
+    raise ValueError(f"unknown ray source {source!r}: use 'builtin' or 'computed'")
 
 
 # ---------------------------------------------------------------------------
@@ -833,22 +782,16 @@ def assemble_system(
     ground: GroundSet,
     framework: str,
     families: Sequence[str],
-    rays: Sequence[SupermodularFunction] | None = None,
 ) -> ConstraintSystem:
     """Build the requested constraint families in their canonical order.
 
-    The 'nonspecific' family needs rays: pass them, or they default to the
-    builtin list at n = 3 and the computed list at n <= 4.  Rays passed to
-    any other system would be dropped unread, so they are refused, and so is
-    a family listed twice, whose rows would all appear twice.
+    The 'nonspecific' rows come from the builtin rays at n = 3 and the
+    computed rays at n = 2 and 4; larger n is refused.  A family listed
+    twice, whose rows would all appear twice, is refused too.
     """
     for k, family in enumerate(families):
         if family in families[:k]:
             raise ValueError(f"constraint family {family!r} is listed twice")
-    if rays is not None and (framework != "u" or "nonspecific" not in families):
-        raise ValueError(
-            "rays are read only by the 'nonspecific' family of the 'u' framework"
-        )
     if framework == "eta":
         return eta_system(ground, families)
     rows: list[LinearConstraint] = []
@@ -859,9 +802,8 @@ def assemble_system(
             elif family == "specific":
                 rows.extend(specific_rows(ground, family))
             elif family == "nonspecific":
-                if rays is None:
-                    source = "builtin" if ground.n == 3 else "computed"
-                    rays = supermodular_rays(ground, source)
+                source = "builtin" if ground.n == 3 else "computed"
+                rays = supermodular_rays(ground, source)
                 rows.extend(nonspecific_constraints(ground, rays).rows)
             elif family == "cluster-u":
                 for c in p2_masks(ground):

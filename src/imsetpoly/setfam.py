@@ -166,7 +166,7 @@ def _ground_from_labels(labels) -> GroundSet:
 
 
 def _json_text(obj) -> str:
-    """The one JSON text every report, catalog and ray file is written as."""
+    """The one JSON text every report, catalog and ray list is written as."""
     return json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=1) + "\n"
 
 

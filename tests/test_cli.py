@@ -1,13 +1,17 @@
 """Command-line interface: exit codes, output formats, and file round trips."""
 
+import argparse
 import hashlib
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 from imsetpoly import cli
 from imsetpoly.cli import main
-from imsetpoly.constraint import ConeViolationError, load_ray_file, y_of_class
+from imsetpoly.constraint import ConeViolationError, y_of_class
 from imsetpoly.setfam import Antichain, GroundSet
 
 G3 = GroundSet.of_size(3)
@@ -74,18 +78,6 @@ def test_scan_unknown_family_exit_two(capsys):
     assert code == 2 and out == "" and "error:" in err
 
 
-def test_scan_with_ray_file(capsys, tmp_path):
-    path = str(tmp_path / "rays.json")
-    code, out, _ = run(capsys, "rays", "--n", "3", "--method", "builtin", "--out", path)
-    assert code == 0 and "5 rays" in out
-    assert len(load_ray_file(G3, path)) == 5
-    code, data, _ = run_json(
-        capsys, "scan", "--n", "3", "--framework", "u", "--box", "01",
-        "--families", "equality,specific,nonspecific", "--rays", path,
-    )
-    assert code == 0 and data["parameters"]["rays"] == 5
-
-
 def test_rays_takes_no_long_run(capsys):
     # computed rays stop at n = 4, and no flag lifts that limit
     with pytest.raises(SystemExit) as exc:
@@ -123,6 +115,15 @@ def test_out_file_round_trip(capsys, tmp_path):
     assert code == 0 and out == ""
     data = json.loads(path.read_text(encoding="utf-8"))
     assert data["counts"]["classes"] == 11
+
+
+def test_rays_out_writes_what_stdout_prints(capsys, tmp_path):
+    path = tmp_path / "rays.json"
+    code, printed, _ = run(capsys, "rays", "--n", "4", "--method", "dd")
+    assert code == 0 and len(json.loads(printed)) == 37
+    code, out, _ = run(capsys, "rays", "--n", "4", "--method", "dd", "--out", str(path))
+    assert code == 0 and out == ""
+    assert path.read_bytes() == printed.encode("utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +185,31 @@ def test_transform_kind_mismatch(capsys, tmp_path):
     assert code == 2 and "error:" in err
     code, out, err = run(capsys, "transform", "--to", "eta", "--in", u_path)
     assert code == 2 and "does not determine" in err
+
+
+def test_json_decimals_read_exactly(capsys, tmp_path):
+    path = tmp_path / "c.json"
+    head = '{"labels": ["a", "b", "c"], "kind": "characteristic", "entries": '
+    path.write_text(head + '{"a,b": 1.0, "a,c": 1e2, "b,c": 2E+0}}', encoding="utf-8")
+    code, data, _ = run_json(capsys, "transform", "--to", "c", "--in", str(path))
+    assert code == 0 and data["entries"] == {"a,b": 1, "a,c": 100, "b,c": 2}
+    path.write_text(head + '{"a,b": 1.7}}', encoding="utf-8")
+    code, _, err = run(capsys, "transform", "--to", "c", "--in", str(path))
+    assert code == 2 and "must be an integer, got 1.7\n" in err
+    # a decimal is the rational it writes, down to the last exponent a double had
+    path = tmp_path / "y.json"
+    head = '{"labels": ["a", "b"], "entries": '
+    for scale, one, two in ((10, "0.1", "0.2"), (10**308, "1e-308", "2E-308")):
+        entries = '{"a": %s, "b": %s, "a,b": %s}}' % (one, one, two)
+        path.write_text(head + entries, encoding="utf-8")
+        code, data, _ = run_json(capsys, "decompose", "--y", str(path))
+        assert code == 0 and data["reconstruction_exact"]
+        assert sorted(t["weight"] for t in data["terms"]) == [f"1/{scale}", f"3/{scale}"]
+    for text in ("1e309", "1.5e-309", "1e0000400", "1e99999999999999999999"):
+        path.write_text(head + '{"a": %s}}' % text, encoding="utf-8")
+        code, out, err = run(capsys, "decompose", "--y", str(path))
+        assert code == 2 and out == ""
+        assert f"error: JSON number {text} has an exponent outside ±308\n" in err
 
 
 # ---------------------------------------------------------------------------
@@ -325,3 +351,31 @@ def test_runtime_error_exits_two_with_one_line(capsys, monkeypatch, tmp_path):
     assert code == 2 and out == ""
     errors = [line for line in err.splitlines() if not line.startswith("elapsed ")]
     assert errors == ["error: residual left the dual cone"]
+
+
+# ---------------------------------------------------------------------------
+# the README against the parser
+
+README = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+def test_readme_usage_lines_parse():
+    lines = [line for line in README.splitlines() if line.startswith("imsetpoly ")]
+    assert len(lines) >= 13
+    parser = cli.build_parser()
+    for line in lines:
+        # parse only: nothing runs
+        args = parser.parse_args(shlex.split(line, comments=True)[1:])
+        assert callable(args.func), line
+
+
+def test_readme_flags_are_subcommand_options():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        flag for p in sub.choices.values() for a in p._actions for flag in a.option_strings
+    }
+    text = "\n".join(line for line in README.splitlines() if "pip install" not in line)
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", text))
+    assert "--out" in named
+    assert sorted(named - options) == []

@@ -1,7 +1,7 @@
 """Constraint families, kappa machinery, the supermodular cone, and the
 dual-cone decomposition."""
 
-import json
+import inspect
 import random
 from fractions import Fraction
 
@@ -23,10 +23,8 @@ from imsetpoly.constraint import (
     indicator_supermodular,
     is_supermodular,
     kappa_coefficients,
-    load_ray_file,
     nonspecific_constraints,
     pairing,
-    save_ray_file,
     specific_constraint,
     specific_rows,
     SupermodularFunction,
@@ -581,6 +579,9 @@ def test_computed_rays_n4_certified_extreme():
 def test_computed_rays_refusal_at_n5():
     with pytest.raises(ValueError):
         supermodular_rays(GroundSet.of_size(5), "computed")
+    # a ray source is 'builtin' or 'computed', never a file path
+    with pytest.raises(ValueError, match="unknown ray source 'rays.json'"):
+        supermodular_rays(G3, "rays.json")
 
 
 def test_double_description_on_orthant():
@@ -644,38 +645,6 @@ def test_double_description_matches_brute_force_on_random_cones():
         ]
         rng.shuffle(rows)
         assert double_description(rows, dim) == brute_force_rays(rows, dim)
-
-
-def test_ray_file_round_trip(tmp_path):
-    rays = supermodular_rays(G3, "builtin")
-    path = tmp_path / "rays.json"
-    save_ray_file(rays, path)
-    again = supermodular_rays(G3, str(path))
-    assert {r.values for r in again} == {r.values for r in rays}
-    # scaled entries normalize back to the coprime representative
-    scaled = [{"entries": {"a,b": 4, "a,b,c": 4}}]
-    path2 = tmp_path / "scaled.json"
-    path2.write_text(json.dumps(scaled), encoding="utf-8")
-    loaded = load_ray_file(G3, path2)
-    assert loaded[0].values == indicator_supermodular(G3, 3).values
-    # invalid records are rejected with a reason
-    bad = [{"entries": {"a": 1, "a,b": 1}}]
-    path3 = tmp_path / "bad.json"
-    path3.write_text(json.dumps(bad), encoding="utf-8")
-    with pytest.raises(ValueError, match="standardized"):
-        load_ray_file(G3, path3)
-    notsuper = [{"entries": {"a,b": 1, "a,c": 1, "a,b,c": -1}}]
-    path4 = tmp_path / "notsuper.json"
-    path4.write_text(json.dumps(notsuper), encoding="utf-8")
-    with pytest.raises(ValueError, match="supermodular"):
-        load_ray_file(G3, path4)
-    fractional = [{"entries": {"a,b": 1.7, "a,b,c": 1}}]
-    path5 = tmp_path / "fractional.json"
-    path5.write_text(json.dumps(fractional), encoding="utf-8")
-    with pytest.raises(ValueError, match="must be an integer"):
-        load_ray_file(G3, path5)
-    with pytest.raises(ValueError, match="cannot write"):
-        save_ray_file(rays, tmp_path / "missing" / "rays.json")
 
 
 def test_nonspecific_rows():
@@ -822,12 +791,6 @@ def test_assemble_system_counts():
 
 
 def test_assemble_system_refuses_rays_it_would_not_read():
-    rays = supermodular_rays(G3, "builtin")
-    assert len(assemble_system(G3, "u", ("nonspecific",), rays=rays)) == 5
-    for framework, families in (
-        ("c", ("kappa-specific", "cluster-c")),
-        ("u", ("equality", "specific", "cluster-u")),
-        ("eta", ("nonneg",)),
-    ):
-        with pytest.raises(ValueError, match="nonspecific"):
-            assemble_system(G3, framework, families, rays=rays)
+    # the nonspecific rows read the package's own rays, and no caller's
+    assert "rays" not in inspect.signature(assemble_system).parameters
+    assert len(assemble_system(G3, "u", ("nonspecific",))) == 5
