@@ -119,6 +119,25 @@ def _families(args, framework: str):
     return families
 
 
+# the most digits a JSON integer or decimal mantissa may have: the
+# interpreter's default limit for converting a string to an int, checked
+# here so that the refusal names the number
+_JSON_MAX_DIGITS = 4300
+
+
+def _check_digits(text: str) -> None:
+    digits = sum(ch.isdigit() for ch in text.lower().partition("e")[0])
+    if digits > _JSON_MAX_DIGITS:
+        raise ValueError(
+            f"JSON number {text[:20]}… has {digits} digits, more than {_JSON_MAX_DIGITS}"
+        )
+
+
+def _json_int(text: str) -> int:
+    _check_digits(text)
+    return int(text)
+
+
 class _JsonDecimal(Fraction):
     """A JSON decimal read as the exact rational it writes, not the nearest
     double; its repr is the text it was written as."""
@@ -131,6 +150,7 @@ class _JsonDecimal(Fraction):
         # with as many digits as the exponent says
         if len(exponent) > 3 or int(exponent or 0) > 308:
             raise ValueError(f"JSON number {text} has an exponent outside ±308")
+        _check_digits(text)
         self = super().__new__(cls, text)
         self._text = text
         return self
@@ -142,7 +162,7 @@ class _JsonDecimal(Fraction):
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, parse_float=_JsonDecimal)
+            return json.load(fh, parse_float=_JsonDecimal, parse_int=_json_int)
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring as _quote
 from math import gcd
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .encode import _Vector, semi_elementary_imset
 from .exactlin import _echelon
@@ -232,49 +232,24 @@ def _lp_set(ground: GroundSet, mask: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# eta framework
+# eta framework (the families are described at eta_system)
 
 
-def eta_system(
-    ground: GroundSet, families: Sequence[str] = ("nonneg", "equality", "cluster")
-) -> ConstraintSystem:
-    """Rows characterizing acyclic digraph codes among 0/1 eta vectors:
+def _eta_nonneg_rows(ground: GroundSet) -> Iterator[LinearConstraint]:
+    for i, b in eta_pairs(ground):
+        yield LinearConstraint("eta", {(i, b): 1}, ">=", 0, f"nonneg:{ground.pair_key(i, b)}")
 
-    * nonneg: every entry at least zero;
-    * equality: entries of each variable sum to one;
-    * cluster: for each set C with >= 2 members, the entries (i|B) with i in C
-      and B disjoint from C sum to at least one.
-    """
-    rows: list[LinearConstraint] = []
-    for family in families:
-        if family == "nonneg":
-            for i, b in eta_pairs(ground):
-                rows.append(
-                    LinearConstraint(
-                        "eta", {(i, b): 1}, ">=", 0, f"nonneg:{ground.pair_key(i, b)}"
-                    )
-                )
-        elif family == "equality":
-            for j in range(ground.n):
-                coeffs = {(i, b): 1 for i, b in eta_pairs(ground) if i == j}
-                rows.append(
-                    LinearConstraint(
-                        "eta", coeffs, "=", 1, f"equality:{ground.labels[j]}"
-                    )
-                )
-        elif family == "cluster":
-            for c in p2_masks(ground):
-                coeffs = {
-                    (i, b): 1
-                    for i, b in eta_pairs(ground)
-                    if (c >> i) & 1 and b & c == 0
-                }
-                rows.append(
-                    LinearConstraint("eta", coeffs, ">=", 1, f"cluster:{ground.tag_key(c)}")
-                )
-        else:
-            raise ValueError(f"unknown eta constraint family {family!r}")
-    return ConstraintSystem(ground, "eta", tuple(rows))
+
+def _eta_equality_rows(ground: GroundSet) -> Iterator[LinearConstraint]:
+    for j in range(ground.n):
+        coeffs = {(i, b): 1 for i, b in eta_pairs(ground) if i == j}
+        yield LinearConstraint("eta", coeffs, "=", 1, f"equality:{ground.labels[j]}")
+
+
+def _eta_cluster_rows(ground: GroundSet) -> Iterator[LinearConstraint]:
+    for c in p2_masks(ground):
+        coeffs = {(i, b): 1 for i, b in eta_pairs(ground) if (c >> i) & 1 and b & c == 0}
+        yield LinearConstraint("eta", coeffs, ">=", 1, f"cluster:{ground.tag_key(c)}")
 
 
 # ---------------------------------------------------------------------------
@@ -773,9 +748,35 @@ def conic_decompose(y: DualVector) -> list[tuple[Antichain, Fraction]]:
 # ---------------------------------------------------------------------------
 # system assembly over a whole framework
 
-ETA_FAMILIES = ("nonneg", "equality", "cluster")
-U_FAMILIES = ("equality", "specific", "nonspecific", "cluster-u")
-C_FAMILIES = ("kappa-specific", "cluster-c")
+
+def _nonspecific_rows(ground: GroundSet) -> tuple[LinearConstraint, ...]:
+    """The one source of nonspecific rows: the builtin rays at n = 3 and the
+    computed rays at n = 2 and 4.  Larger n is refused (117 978 rays at
+    n = 5)."""
+    source = "builtin" if ground.n == 3 else "computed"
+    return nonspecific_constraints(ground, supermodular_rays(ground, source)).rows
+
+
+# each framework's families in canonical order, each with the function that
+# builds its rows over a ground set
+_FAMILY_ROWS: dict[str, dict[str, Callable[[GroundSet], Iterable[LinearConstraint]]]] = {
+    "eta": {
+        "nonneg": _eta_nonneg_rows,
+        "equality": _eta_equality_rows,
+        "cluster": _eta_cluster_rows,
+    },
+    "u": {
+        "equality": lambda ground: u_equality_system(ground).rows,
+        "specific": lambda ground: specific_rows(ground, "specific"),
+        "nonspecific": _nonspecific_rows,
+        "cluster-u": lambda ground: (cluster_constraint_u(ground, c) for c in p2_masks(ground)),
+    },
+    "c": {
+        "kappa-specific": lambda ground: specific_rows(ground, "kappa-specific"),
+        "cluster-c": lambda ground: (cluster_constraint_c(ground, c) for c in p2_masks(ground)),
+    },
+}
+ETA_FAMILIES, U_FAMILIES, C_FAMILIES = (tuple(_FAMILY_ROWS[f]) for f in ("eta", "u", "c"))
 
 
 def assemble_system(
@@ -783,42 +784,31 @@ def assemble_system(
     framework: str,
     families: Sequence[str],
 ) -> ConstraintSystem:
-    """Build the requested constraint families in their canonical order.
-
-    The 'nonspecific' rows come from the builtin rays at n = 3 and the
-    computed rays at n = 2 and 4; larger n is refused.  A family listed
-    twice, whose rows would all appear twice, is refused too.
+    """Build the requested constraint families of a framework, in the order
+    given.  A family listed twice, whose rows would all appear twice, is
+    refused.
     """
     for k, family in enumerate(families):
         if family in families[:k]:
             raise ValueError(f"constraint family {family!r} is listed twice")
-    if framework == "eta":
-        return eta_system(ground, families)
+    if framework not in _FAMILY_ROWS:
+        raise ValueError(f"unknown framework {framework!r}")
+    builders = _FAMILY_ROWS[framework]
     rows: list[LinearConstraint] = []
-    if framework == "u":
-        for family in families:
-            if family == "equality":
-                rows.extend(u_equality_system(ground).rows)
-            elif family == "specific":
-                rows.extend(specific_rows(ground, family))
-            elif family == "nonspecific":
-                source = "builtin" if ground.n == 3 else "computed"
-                rays = supermodular_rays(ground, source)
-                rows.extend(nonspecific_constraints(ground, rays).rows)
-            elif family == "cluster-u":
-                for c in p2_masks(ground):
-                    rows.append(cluster_constraint_u(ground, c))
-            else:
-                raise ValueError(f"unknown u constraint family {family!r}")
-        return ConstraintSystem(ground, "u", tuple(rows))
-    if framework == "c":
-        for family in families:
-            if family == "kappa-specific":
-                rows.extend(specific_rows(ground, family))
-            elif family == "cluster-c":
-                for c in p2_masks(ground):
-                    rows.append(cluster_constraint_c(ground, c))
-            else:
-                raise ValueError(f"unknown c constraint family {family!r}")
-        return ConstraintSystem(ground, "c", tuple(rows))
-    raise ValueError(f"unknown framework {framework!r}")
+    for family in families:
+        if family not in builders:
+            raise ValueError(f"unknown {framework} constraint family {family!r}")
+        rows.extend(builders[family](ground))
+    return ConstraintSystem(ground, framework, tuple(rows))
+
+
+def eta_system(ground: GroundSet, families: Sequence[str] = ETA_FAMILIES) -> ConstraintSystem:
+    """Rows characterizing acyclic digraph codes among 0/1 eta vectors
+    (assemble_system over 'eta'):
+
+    * nonneg: every entry at least zero;
+    * equality: entries of each variable sum to one;
+    * cluster: for each set C with >= 2 members, the entries (i|B) with i in C
+      and B disjoint from C sum to at least one.
+    """
+    return assemble_system(ground, "eta", families)

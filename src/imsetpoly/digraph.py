@@ -78,8 +78,17 @@ class DirectedGraph:
 
 
 def is_acyclic(g: DirectedGraph) -> bool:
-    """Peel nodes whose remaining parents are all peeled; acyclic iff all go."""
-    return _prefix_acyclic(g.parents, g.ground.n)
+    """Peel nodes whose parents are all peeled; acyclic iff all go."""
+    peeled = 0
+    while peeled != g.ground.full_mask:
+        grown = peeled
+        for i, parents in enumerate(g.parents):
+            if parents & ~grown == 0:
+                grown |= 1 << i
+        if grown == peeled:
+            return False
+        peeled = grown
+    return True
 
 
 def enumerate_digraphs(ground: GroundSet) -> Iterator[DirectedGraph]:
@@ -91,25 +100,6 @@ def enumerate_digraphs(ground: GroundSet) -> Iterator[DirectedGraph]:
     choices = [_submasks(ground.full_mask & ~(1 << i)) for i in range(ground.n)]
     for parents in product(*choices):
         yield DirectedGraph(ground, parents)
-
-
-def _prefix_acyclic(parents: Sequence[int], k: int) -> bool:
-    # Acyclicity of the graph restricted to the first k nodes.  Arrows from
-    # later nodes cannot lie on a cycle among the first k, so they are cut.
-    assigned = (1 << k) - 1
-    removed = 0
-    while removed != assigned:
-        progress = False
-        for i in range(k):
-            bit = 1 << i
-            if removed & bit:
-                continue
-            if parents[i] & assigned & ~removed == 0:
-                removed |= bit
-                progress = True
-        if not progress:
-            return False
-    return True
 
 
 def enumerate_dags(ground: GroundSet) -> Iterator[DirectedGraph]:

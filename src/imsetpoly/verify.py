@@ -21,18 +21,14 @@ from .constraint import (
     ConstraintSystem,
     LinearConstraint,
     assemble_system,
-    cluster_constraint_c,
     cluster_constraint_u,
     cluster_supermodular,
     char_specific_constraint,
     eta_system,
     is_supermodular,
     kappa_coefficients,
-    nonspecific_constraints,
     specific_constraint,
     specific_rows,
-    supermodular_rays,
-    u_equality_system,
 )
 from .digraph import (
     DirectedGraph,
@@ -446,30 +442,33 @@ def soundness_check(
     ground: GroundSet,
     specific_sample: int = 250,
     seed: int = 0,
-    rays=None,
 ) -> VerificationReport:
-    """Check that every census structure satisfies every generated row.
+    """Check that every census structure satisfies every generated u row.
 
-    Uses all equality and cluster rows; all specific rows for n <= 4 and a
-    seeded sample of them for n = 5; nonspecific rows when rays are passed.
-    The census is bit-sliced, one int per coordinate with one lane per
-    structure, so each row is evaluated once over all structures; a failing
-    structure is then named with its first violated row.
+    The rows are the equality rows, the specific rows (all of them for
+    n <= 4, a seeded sample of specific_sample of them for n = 5) and the
+    cluster-u rows, all from assemble_system.  At n <= 4 the nonspecific
+    rows follow, and the "rays" parameter counts them; at n = 5 that family
+    is refused, and "rays" is null.  The census is bit-sliced, one int per
+    coordinate with one lane per structure, so each row is evaluated once
+    over all structures; a failing structure is then named with its first
+    violated row in _compile_rows order.
     """
     t0 = time.perf_counter()
-    rays = None if rays is None else list(rays)
-    rows: list[LinearConstraint] = list(u_equality_system(ground).rows)
     antichains = list(walk_antichains(ground))
     sampled = len(antichains) > specific_sample and ground.n >= 5
+    # the nonspecific rows go last; that family is refused at n >= 5
+    nonspecific = ("nonspecific",) if ground.n <= 4 else ()
     if sampled:
-        rng = random.Random(seed)
-        antichains = rng.sample(antichains, specific_sample)
-    rows.extend(specific_rows(ground, "specific", antichains))
-    for c in p2_masks(ground):
-        rows.append(cluster_constraint_u(ground, c))
-    if rays is not None:
-        rows.extend(nonspecific_constraints(ground, rays).rows)
-    system = ConstraintSystem(ground, "u", tuple(rows))
+        sample = random.Random(seed).sample(antichains, specific_sample)
+        equality, cluster = (
+            assemble_system(ground, "u", (family,)).rows for family in ("equality", "cluster-u")
+        )
+        rows = equality + tuple(specific_rows(ground, "specific", sample)) + cluster
+        system = ConstraintSystem(ground, "u", rows)
+    else:
+        system = assemble_system(ground, "u", ("equality", "specific", "cluster-u") + nonspecific)
+    rays = sum(row.tag.startswith("nonspecific:") for row in system) if nonspecific else None
     lanes = _compile_rows(system)
     # the census bit-sliced: sliced[k] holds coordinate k (byte k of the
     # packed sum) of every structure, one w-bit lane each in sorted order
@@ -519,7 +518,7 @@ def soundness_check(
             "specific_rows": "sampled" if sampled else "all",
             "specific_sample": specific_sample if sampled else len(antichains),
             "seed": seed,
-            "rays": None if rays is None else len(rays),
+            "rays": rays,
         },
         counts={"structures": checked, "rows": len(system)},
         witnesses=witnesses,
@@ -537,13 +536,10 @@ def _strictness_witness_n3(ground: GroundSet) -> tuple[StandardImset, bool, bool
     """The n = 3 witness u(T) = (-1)^|T|, whether it satisfies every cluster-u
     row, and whether it violates a nonspecific row of the builtin rays."""
     alt = StandardImset(ground, tuple((-1) ** t.bit_count() for t in range(1 << ground.n)))
-    cluster_rows = [cluster_constraint_u(ground, c) for c in p2_masks(ground)]
-    nonspec = nonspecific_constraints(ground, supermodular_rays(ground, "builtin"))
-    return (
-        alt,
-        all(row.holds_at(alt.values) for row in cluster_rows),
-        not nonspec.satisfied_by(alt.values),
+    cluster, nonspec = (
+        assemble_system(ground, "u", (family,)) for family in ("cluster-u", "nonspecific")
     )
+    return alt, cluster.satisfied_by(alt.values), not nonspec.satisfied_by(alt.values)
 
 
 def relaxation_comparison(
@@ -781,8 +777,7 @@ def example8_fractional_check() -> VerificationReport:
     point = {m: Fraction(1) for m in p2_masks(ground)}
     point[full] = Fraction(3, 2)
     witnesses = []
-    rows = list(specific_rows(ground, "kappa-specific"))
-    rows += [cluster_constraint_c(ground, c) for c in p2_masks(ground)]
+    rows = assemble_system(ground, "c", ("kappa-specific", "cluster-c")).rows
     ok_rows = True
     for row in rows:
         if not row.holds_at(point):
@@ -897,20 +892,19 @@ def _example_2() -> VerificationReport:
 def _example_3() -> VerificationReport:
     ground = GroundSet.of_size(3)
     row = specific_constraint(Antichain(ground, (3, 5, 6)))
-    rays = supermodular_rays(ground, "builtin")
-    nonspec = nonspecific_constraints(ground, rays)
+    nonspec = assemble_system(ground, "u", ("nonspecific",))
     has_abc_row = any(
         dict(r.coeffs) == {7: 1} and r.sense == ">=" and r.rhs == 0 for r in nonspec
     )
     checks = {
-        "four_equality_rows": len(u_equality_system(ground)) == 4,
+        "four_equality_rows": len(assemble_system(ground, "u", ("equality",))) == 4,
         "eighteen_specific_classes": len(list(enumerate_antichains(ground))) == 18,
         "pairs_row_matches": dict(row.coeffs) == {3: 1, 5: 1, 6: 1, 7: 1}
         and row.sense == "<="
         and row.rhs == 1,
         "five_nonspecific_rows": len(nonspec) == 5,
         "abc_nonneg_row_present": has_abc_row,
-        "all_structures_satisfy_inequalities": soundness_check(ground, rays=rays).passed,
+        "all_structures_satisfy_inequalities": soundness_check(ground).passed,
     }
     return _report("example-3", {"n": 3}, checks)
 

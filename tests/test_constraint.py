@@ -790,6 +790,26 @@ def test_assemble_system_counts():
         assemble_system(G3, "eta", ("nonneg", "equality", "nonneg"))
 
 
+def test_eta_system_refuses_a_repeated_family():
+    with pytest.raises(ValueError, match="^constraint family 'nonneg' is listed twice$"):
+        eta_system(G3, ("nonneg", "nonneg"))
+
+
+def test_unknown_family_texts():
+    # a family is refused once the families before it are built
+    for framework, families in (
+        ("eta", ("equality", "specific")),
+        ("u", ("equality", "nonneg")),
+        ("c", ("cluster-c", "cluster-u")),
+    ):
+        with pytest.raises(
+            ValueError, match=f"^unknown {framework} constraint family '{families[1]}'$"
+        ):
+            assemble_system(G3, framework, families)
+    with pytest.raises(ValueError, match="^unknown eta constraint family 'oddball'$"):
+        eta_system(G3, ("oddball",))
+
+
 def test_assemble_system_refuses_rays_it_would_not_read():
     # the nonspecific rows read the package's own rays, and no caller's
     assert "rays" not in inspect.signature(assemble_system).parameters

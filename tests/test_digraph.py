@@ -70,7 +70,7 @@ def test_from_edges_and_json_round_trip():
 
 
 def test_is_acyclic_against_dfs_oracle():
-    for n in (2, 3):
+    for n in (2, 3, 4):
         g = GroundSet.of_size(n)
         for graph in enumerate_digraphs(g):
             assert is_acyclic(graph) == dfs_acyclic(graph)

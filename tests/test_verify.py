@@ -420,21 +420,23 @@ def test_soundness_all_rows():
         assert report.parameters["specific_rows"] == "all"
 
 
-def test_soundness_with_rays():
-    from imsetpoly.constraint import supermodular_rays
+def test_soundness_checks_all_four_u_families_up_to_n4():
+    # equality, specific and cluster-u rows, then the nonspecific rows the
+    # package builds itself: 3+4+1+1 rows at n = 2, 4+18+4+5 at n = 3 and
+    # 5+166+11+37 at n = 4
+    import inspect
 
-    report = soundness_check(G3, rays=supermodular_rays(G3, "builtin"))
-    assert report.passed and report.counts["rows"] == 4 + 18 + 4 + 5
-
-
-def test_rays_may_be_an_iterator():
-    # the report counts the rays it used, even when they came as an iterator
-    from imsetpoly.constraint import supermodular_rays
-
-    rays = supermodular_rays(G3, "builtin")
-    report = soundness_check(G3, rays=iter(rays))
-    assert report.passed and report.parameters["rays"] == 5
-    assert report.counts["rows"] == 4 + 18 + 4 + 5
+    assert "rays" not in inspect.signature(soundness_check).parameters
+    for n, rows, rays in ((2, 9, 1), (3, 31, 5), (4, 219, 37)):
+        ground = GroundSet.of_size(n)
+        report = soundness_check(ground)
+        assert report.passed
+        assert report.counts == {
+            "structures": len(census_characteristic_set(ground)),
+            "rows": rows,
+        }
+        assert report.parameters["rays"] == rays
+        assert report.parameters["specific_rows"] == "all"
 
 
 def test_soundness_witnesses_name_the_first_violated_row(monkeypatch):
