@@ -119,18 +119,18 @@ def _families(args, framework: str):
     return families
 
 
-# the most digits a JSON integer or decimal mantissa may have: the
-# interpreter's default limit for converting a string to an int, checked
-# here so that the refusal names the number
-_JSON_MAX_DIGITS = 4300
+def _max_digits() -> int:
+    """The most digits an int may have to convert from or to a string: the
+    interpreter's limit, 0 for none (as on an interpreter without one)."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 def _check_digits(text: str) -> None:
+    # refused here so that the message names the number
     digits = sum(ch.isdigit() for ch in text.lower().partition("e")[0])
-    if digits > _JSON_MAX_DIGITS:
-        raise ValueError(
-            f"JSON number {text[:20]}… has {digits} digits, more than {_JSON_MAX_DIGITS}"
-        )
+    limit = _max_digits()
+    if limit and digits > limit:
+        raise ValueError(f"JSON number {text[:20]}… has {digits} digits, more than {limit}")
 
 
 def _json_int(text: str) -> int:
@@ -287,6 +287,13 @@ def _cmd_decompose(args) -> int:
         for t, v in enumerate(y_of_class(antichain).values):
             reconstructed[t] += weight * v
     exact = tuple(reconstructed) == tuple(y.values)
+    limit = _max_digits()
+    for antichain, weight in terms:
+        if limit and max(abs(weight.numerator), weight.denominator) >= 10**limit:
+            raise ValueError(
+                f"the weight of class {antichain.tag()} has more than {limit} digits, "
+                "past the interpreter's limit for writing an int"
+            )
     _emit_json(
         {
             "in_cone": True,

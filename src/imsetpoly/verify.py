@@ -13,7 +13,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 from math import lcm, prod
 
@@ -58,16 +58,24 @@ from .setfam import (
 
 SCAN_BUDGET = 3_000_000  # coordinate values the scan search may try
 PAYLOAD_LIST_CAP = 512
-CLASS_POINTS_MAX_N = 5  # census payloads list their class tuples up to here
+
+
+def _payload_list(items, convert):
+    """The sorted items, each passed through convert, as a payload list; past
+    PAYLOAD_LIST_CAP items {"count": k, "omitted": True} instead, with no
+    item converted."""
+    if len(items) > PAYLOAD_LIST_CAP:
+        return {"count": len(items), "omitted": True}
+    return [convert(x) for x in sorted(items)]
 
 
 @dataclass
 class VerificationReport:
     """Outcome record of one experiment.
 
-    payload holds bulky result data (point lists and similar); lists longer
-    than PAYLOAD_LIST_CAP are elided from the JSON form, with their count
-    kept, so reports stay small and deterministic.
+    payload holds bulky result data (point lists and similar); a list that
+    would pass PAYLOAD_LIST_CAP is built as its count (_payload_list), so
+    reports stay small and deterministic.
     """
 
     experiment: str
@@ -79,29 +87,17 @@ class VerificationReport:
     payload: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        payload = {}
-        for key in sorted(self.payload):
-            value = self.payload[key]
-            if isinstance(value, list) and len(value) > PAYLOAD_LIST_CAP:
-                payload[key] = _omitted(len(value))
-            else:
-                payload[key] = value
         return {
             "experiment": self.experiment,
             "parameters": self.parameters,
             "counts": self.counts,
             "witnesses": self.witnesses,
             "passed": self.passed,
-            "payload": payload,
+            "payload": self.payload,
         }
 
     def to_json(self) -> str:
         return _json_text(self.to_json_dict())
-
-
-def _omitted(count: int) -> dict:
-    # what a report's JSON form prints in place of a long payload list
-    return {"count": count, "omitted": True}
 
 
 @dataclass(frozen=True)
@@ -188,16 +184,12 @@ def census_equivalence_classes(ground: GroundSet) -> VerificationReport:
     characteristic imsets).
 
     payload["class_points"] lists the classes' characteristic tuples, sorted,
-    for n <= 5.  For n = 6 it holds {"count": ..., "omitted": True}, which is
-    what the JSON form prints for the list: its 1 067 825 tuples would take
-    about 500 MB.
+    for n <= 4; past PAYLOAD_LIST_CAP classes (8 782 at n = 5, 1 067 825 at
+    n = 6) it holds {"count": ..., "omitted": True}.  census_characteristic_set
+    returns every tuple.
     """
     t0 = time.perf_counter()
     dags, classes = _census_data(ground)
-    if ground.n <= CLASS_POINTS_MAX_N:
-        class_points = [_unpack_counts(ground, v) for v in classes]
-    else:
-        class_points = _omitted(len(classes))
     report = VerificationReport(
         experiment="census",
         parameters={"n": ground.n, "labels": list(ground.labels)},
@@ -206,7 +198,7 @@ def census_equivalence_classes(ground: GroundSet) -> VerificationReport:
         passed=True,
         payload={
             "coordinates": [ground.subset_key(m) for m in p2_masks(ground)],
-            "class_points": class_points,
+            "class_points": _payload_list(classes, partial(_unpack_counts, ground)),
         },
     )
     report.wall_time_s = time.perf_counter() - t0
@@ -227,17 +219,17 @@ def _compile_rows(system: ConstraintSystem):
     A 'u' row a.u <sense> r is pulled back through the exact map
     u = Moebius(1 - c on those subsets): with b the subset-Moebius transform
     of a, it reads  sum of -b(S) c(S)  <sense>  r - sum of b(S),  S ranging
-    over the subsets with >= 2 members.  Rows keep the stable order of their
-    own support sizes, and a row's lanes are adjacent, so the first violated
-    lane at a point names the same row in either framework.  A key outside
-    the framework's coordinates is refused with the row's tag.
+    over the subsets with >= 2 members.  Lanes follow the system's row
+    order, a row's lanes adjacent, so the first violated lane at a point
+    names the first violated row.  A key outside the framework's coordinates
+    is refused with the row's tag.
     """
     ground = system.ground
     n = ground.n
     masks = p2_masks(ground)
     keys = frozenset(masks if system.framework == "c" else range(1 << n))
     lanes = []
-    for row in sorted(system.rows, key=lambda r: len(r.coeffs)):
+    for row in system.rows:
         if not row.coeffs.keys() <= keys:
             raise ValueError(
                 f"row {row.tag!r} has a key outside the {system.framework!r} coordinates"
@@ -431,7 +423,7 @@ def lattice_scan(
         passed=not extra and not missing,
         payload={
             "coordinates": [ground.subset_key(m) for m in p2_masks(ground)],
-            "satisfying_points": [list(p) for p in sorted(sat_set)],
+            "satisfying_points": _payload_list(sat_set, list),
         },
     )
     report.wall_time_s = time.perf_counter() - t0
@@ -603,7 +595,7 @@ def relaxation_comparison(
         counts={
             "nonspecific_relaxation_points": len(set_a),
             "cluster_relaxation_points": len(set_b),
-            "census_classes": len(census_characteristic_set(ground)),
+            "census_classes": len(_census_data(ground)[1]),
             "leaked": len(leaked),
         },
         witnesses=witnesses,

@@ -3,8 +3,11 @@
 import argparse
 import hashlib
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -210,6 +213,33 @@ def test_json_decimals_read_exactly(capsys, tmp_path):
         code, out, err = run(capsys, "decompose", "--y", str(path))
         assert code == 2 and out == ""
         assert f"error: JSON number {text} has an exponent outside ±308\n" in err
+
+
+def test_digit_limit_is_the_interpreters(tmp_path):
+    # the JSON check and the weight check read the limit the interpreter
+    # runs under; 0 means no limit
+    src = Path(cli.__file__).parents[1]
+    path = tmp_path / "y.json"
+
+    def decompose(limit, entries):
+        path.write_text('{"labels": ["a", "b"], "entries": %s}' % entries, encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONINTMAXSTRDIGITS=str(limit))
+        argv = [sys.executable, "-m", "imsetpoly.cli", "decompose", "--y", str(path)]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True)
+        errors = [line for line in proc.stderr.splitlines() if not line.startswith("elapsed ")]
+        return proc.returncode, errors
+
+    assert decompose(640, '{"a": %s}' % ("1" * 640)) == (0, [])
+    assert decompose(640, '{"a": %s}' % ("1" * 1000)) == (
+        2,
+        ["error: JSON number 11111111111111111111… has 1000 digits, more than 640"],
+    )
+    assert decompose(640, '{"a": %s, "b": 1e-308, "a,b": 1e-308}' % ("9" * 640)) == (
+        2,
+        ["error: the weight of class a has more than 640 digits, "
+         "past the interpreter's limit for writing an int"],
+    )
+    assert decompose(0, '{"a": %s}' % ("1" * 5000)) == (0, [])
 
 
 # ---------------------------------------------------------------------------

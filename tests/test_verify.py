@@ -17,7 +17,7 @@ from imsetpoly.digraph import (
     is_acyclic,
     super_terminal_counts,
 )
-from imsetpoly.setfam import GroundSet, bits_of, p2_masks
+from imsetpoly.setfam import GroundSet, _json_text, bits_of, p2_masks
 from imsetpoly.verify import (
     EnumerationBox,
     FACET_TYPES_N3,
@@ -48,21 +48,82 @@ C_DEFAULT = ("kappa-specific", "cluster-c")
 # reports and boxes
 
 
-def test_report_json_elides_long_lists():
+def test_report_json_prints_the_payload_as_held():
+    # a long list is never built into a payload (_payload_list builds its
+    # count instead); the JSON form prints the payload as it is held, and
+    # never the wall time
+    payload = {
+        "long": list(range(600)),
+        "counted": {"count": 600, "omitted": True},
+        "short": [1, 2],
+    }
     report = VerificationReport(
         experiment="x",
         parameters={},
         counts={},
         witnesses=[],
         passed=True,
-        payload={"long": list(range(600)), "short": [1, 2]},
+        wall_time_s=1.5,
+        payload=payload,
     )
     data = report.to_json_dict()
-    assert data["payload"]["long"] == {"count": 600, "omitted": True}
-    assert data["payload"]["short"] == [1, 2]
-    assert "wall_time_s" not in data
+    assert data["payload"] == payload
+    assert "wall_time_s" not in data and "wall_time_s" not in report.to_json()
     parsed = json.loads(report.to_json())
     assert parsed == data
+
+
+def test_payload_list_stops_at_the_cap():
+    cap = verify.PAYLOAD_LIST_CAP
+    assert verify._payload_list({3, 1, 2}, str) == ["1", "2", "3"]
+    assert len(verify._payload_list(range(cap), int)) == cap
+
+    def never(x):
+        raise AssertionError("an item past the cap was converted")
+
+    assert verify._payload_list(range(cap + 1), never) == {"count": cap + 1, "omitted": True}
+
+
+def _longest_list(value) -> int:
+    if isinstance(value, dict):
+        return max(map(_longest_list, value.values()), default=0)
+    if isinstance(value, (list, tuple)):
+        return max([len(value), *map(_longest_list, value)])
+    return 0
+
+
+@pytest.mark.parametrize(
+    "experiment",
+    [
+        *(
+            pytest.param(
+                lambda n=n: census_equivalence_classes(GroundSet.of_size(n)), id=f"census-n{n}"
+            )
+            for n in (2, 3, 4, 5)
+        ),
+        pytest.param(
+            lambda: lattice_scan(G3, "u", U_DEFAULT, EnumerationBox.default(G3)), id="scan-n3-u"
+        ),
+        pytest.param(
+            lambda: lattice_scan(G4, "u", U_DEFAULT, EnumerationBox.zero_one(G4)),
+            id="scan-n4-u-01",
+        ),
+        pytest.param(
+            lambda: lattice_scan(G4, "c", ("cluster-c",), EnumerationBox.default(G4)),
+            id="scan-n4-c-cluster-only",
+        ),
+        pytest.param(
+            lambda: lattice_scan(G5, "c", C_DEFAULT, EnumerationBox.default(G5)), id="scan-n5-c"
+        ),
+        pytest.param(lambda: relaxation_comparison(G3), id="compare-n3"),
+        pytest.param(lambda: relaxation_comparison(G4), id="compare-n4"),
+        pytest.param(lambda: soundness_check(G4), id="soundness-n4"),
+        *(pytest.param(lambda i=i: run_example(i), id=f"example-{i}") for i in range(1, 9)),
+    ],
+)
+def test_no_payload_list_passes_the_cap(experiment):
+    report = experiment()
+    assert _longest_list(report.payload) <= verify.PAYLOAD_LIST_CAP
 
 
 def test_enumeration_box():
@@ -113,16 +174,20 @@ def test_census_report_is_deterministic():
 def test_census_classes_sorted_as_tuples():
     # the census sorts packed ints; the decoded tuples must come out in
     # tuple order, one per class, each the 0/1 rule on some DAG
-    classes = census_equivalence_classes(G5).payload["class_points"]
-    assert classes == sorted(set(classes))
-    masks = p2_masks(G5)
-    assert set(classes) == {
-        tuple(
-            int(any(s & ~(1 << i) & ~g.parents[i] == 0 for i in bits_of(s)))
-            for s in masks
-        )
-        for g in enumerate_dags(G5)
-    }
+    classes = census_equivalence_classes(G4).payload["class_points"]
+    assert len(classes) == 185 and classes == sorted(set(classes))
+    assert set(classes) == census_characteristic_set(G4)
+    for ground in (G4, G5):
+        masks = p2_masks(ground)
+        assert census_characteristic_set(ground) == {
+            tuple(
+                int(any(s & ~(1 << i) & ~g.parents[i] == 0 for i in bits_of(s)))
+                for s in masks
+            )
+            for g in enumerate_dags(ground)
+        }
+    decoded = [_unpack_counts(G5, v) for v in verify._census_data(G5)[1]]
+    assert decoded == sorted(census_characteristic_set(G5))
 
 
 def test_census_data_against_the_product_route():
@@ -151,15 +216,26 @@ def test_census_class_payload():
 
 
 def test_census_payload_past_the_tuple_limit(monkeypatch):
-    # past CLASS_POINTS_MAX_N the payload holds no tuples, only what the JSON
-    # form prints for a list longer than PAYLOAD_LIST_CAP
-    monkeypatch.setattr(verify, "PAYLOAD_LIST_CAP", 10)
+    # past PAYLOAD_LIST_CAP classes the payload holds no tuples, only their
+    # count, and the JSON form is what a listed payload printed at that cap
     listed = census_equivalence_classes(G3)
-    monkeypatch.setattr(verify, "CLASS_POINTS_MAX_N", 2)
+    monkeypatch.setattr(verify, "PAYLOAD_LIST_CAP", 10)
     counted = census_equivalence_classes(G3)
     assert len(listed.payload["class_points"]) == 11
     assert counted.payload["class_points"] == {"count": 11, "omitted": True}
-    assert counted.to_json() == listed.to_json()
+    assert counted.to_json() == _json_text(
+        {
+            "counts": {"classes": 11, "dags": 25},
+            "experiment": "census",
+            "parameters": {"labels": ["a", "b", "c"], "n": 3},
+            "passed": True,
+            "payload": {
+                "class_points": {"count": 11, "omitted": True},
+                "coordinates": ["a,b", "a,c", "b,c", "a,b,c"],
+            },
+            "witnesses": [],
+        }
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +367,16 @@ def test_compile_rows_refuses_a_key_outside_the_coordinates():
     assert _compiled(G3, "c", [base]) == [({0: 1}, 0, "kept")]
 
 
+def test_compile_rows_keeps_the_system_order():
+    # lanes follow the rows as the system lists them, so the first violated
+    # lane names the first violated row, not a later row of smaller support
+    rows = [
+        _c_row(G3, ((0, 1), (1, 1), (3, -1)), ">=", 0, "three"),
+        _c_row(G3, ((2, 1),), "=", 0, "one"),
+    ]
+    assert [tag for _a, _r, tag in _compiled(G3, "c", rows)] == ["three", "one", "one"]
+
+
 def _compiled(ground, framework, rows):
     # the lanes of a system of the given rows, by the compiler as imported,
     # not as a test may have patched it
@@ -336,13 +422,22 @@ def _search_cases():
 
 
 def test_pruned_search_matches_the_box_walk():
+    from imsetpoly.constraint import assemble_system
+    from imsetpoly.verify import PAYLOAD_LIST_CAP, _satisfying_points
+
     cases = list(_search_cases())
     assert len(cases) == 36 + 6 + 4
     for ground, framework, families, make_box in cases:
         box = make_box(ground)
-        report = lattice_scan(ground, framework, families, box)
         expected = _brute_force_points(ground, framework, families, box)
-        assert report.payload["satisfying_points"] == expected, (framework, families)
+        lanes = _compile_rows(assemble_system(ground, framework, families))
+        found = _satisfying_points(lanes, box)
+        assert [list(p) for p in sorted(found)] == expected, (framework, families)
+        points = lattice_scan(ground, framework, families, box).payload["satisfying_points"]
+        if len(expected) > PAYLOAD_LIST_CAP:
+            assert points == {"count": len(expected), "omitted": True}
+        else:
+            assert points == expected, (framework, families)
 
 
 def test_pruned_search_on_random_rows():
