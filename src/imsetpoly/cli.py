@@ -91,7 +91,22 @@ def _emit(text: str, out: str | None) -> None:
         _write_text(text, out)
 
 
+def _largest_int(obj) -> int:
+    """The largest magnitude of an int in a JSON payload, 0 if it holds none."""
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        return max(map(_largest_int, obj), default=0)
+    return abs(obj) if isinstance(obj, int) else 0
+
+
 def _emit_json(obj, out: str | None) -> None:
+    limit = _max_digits()
+    if limit and _largest_int(obj) >= 10**limit:
+        raise ValueError(
+            f"the output holds an integer of more than {limit} digits, "
+            "past the interpreter's limit for writing an int"
+        )
     _emit(_json_text(obj), out)
 
 

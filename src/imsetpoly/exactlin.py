@@ -442,6 +442,85 @@ class MinorVerdict:
     witness_det: int | None = None
 
 
+def _minor_walk(
+    rows: Sequence[Sequence[int]],
+) -> tuple[int, tuple[int, ...] | None, int | None]:
+    """The k x k minors of k integer rows, column picks in combinations
+    order: how many were checked and, if one lies outside {-1, 0, +1}, the
+    first such pick and its determinant.
+
+    A depth-first walk over column prefixes.  Each prefix does one
+    fraction-free elimination step (Bareiss 1968) on the rows it has not
+    pivoted yet, dividing exactly by the previous pivot, and every minor
+    that extends the prefix reuses it; at a leaf the one row left holds the
+    minors, up to the sign of the row picks.  A prefix column with no pivot
+    makes every minor that extends it zero, so they are counted, not read.
+    """
+    if not rows:
+        return 1, None, None
+    checked = 0
+
+    def walk(rest, start, prev, sign, pick):
+        # rest: the unpivoted rows over the columns from start on
+        nonlocal checked
+        if len(rest) == 1:
+            row = rest[0]
+            if -1 <= min(row, default=0) and max(row, default=0) <= 1:
+                checked += len(row)
+                return None
+            j = next(j for j, x in enumerate(row) if abs(x) > 1)
+            checked += j + 1
+            return (*pick, start + j), sign * row[j]
+        need = len(rest) - 1
+        for c in range(len(rest[0]) - need):
+            q = next((i for i, row in enumerate(rest) if row[c]), None)
+            if q is None:
+                checked += comb(len(rest[0]) - c - 1, need)
+                continue
+            p, tail = rest[q][c], rest[q][c + 1:]
+            reduced = [
+                row[c + 1:] if row[c] == 0 and p == prev else
+                [(x * p - row[c] * y) // prev for x, y in zip(row[c + 1:], tail)]
+                for i, row in enumerate(rest) if i != q
+            ]
+            # moving row q to the front of rest takes q transpositions
+            found = walk(reduced, start + c + 1, p, -sign if q % 2 else sign,
+                         (*pick, start + c))
+            if found:
+                return found
+        return None
+
+    found = walk(list(rows), 0, 1, 1, ())
+    return (checked, *found) if found else (checked, None, None)
+
+
+def _echelon_minors(m: IntMatrix, reduced: tuple, picks):
+    """Each maximal minor of m, which has full row rank, on the column picks
+    in turn, as (pick, determinant), read through reduced = (E, pivots, d)
+    from _echelon.
+
+    E = d R with R = B^-1 m, where B is m on its pivot columns (Schrijver
+    1986, ch. 19-21).  On a pick S whose k columns off the pivots leave k
+    rows of E unhit by its pivot columns, det m_S = ± det(B) det(E on those
+    k rows and columns) / d^k: an order-k determinant, divided exactly.
+    """
+    echelon, pivots, d = reduced
+    row_of = {j: k for k, j in enumerate(pivots)}
+    det_b = det_bareiss([[row[j] for j in pivots] for row in m.entries])
+    for col_pick in picks:
+        # the pivot columns of the pick: their row of E -> their place in it
+        hit = {row_of[j]: at for at, j in enumerate(col_pick) if j in row_of}
+        free = [j for j in col_pick if j not in row_of]
+        det, rest = divmod(det_b * det_bareiss(
+            [[row[j] for j in free] for k, row in enumerate(echelon) if k not in hit]
+        ), d ** len(free))
+        if rest:
+            raise RuntimeError("inexact division by the echelon denominator; "
+                               "this cannot happen")
+        # Laplace expansion along the unit columns of R
+        yield col_pick, -det if (sum(hit) + sum(hit.values())) % 2 else det
+
+
 def is_unimodular_full_row_rank(
     m: IntMatrix,
     mode: str = "exhaustive",
@@ -450,11 +529,14 @@ def is_unimodular_full_row_rank(
 ) -> MinorVerdict:
     """Scan maximal minors for values outside {-1, 0, +1}.
 
-    The input must have full row rank (checked through the Hermite form).
-    Exhaustive mode refuses jobs with more than 10^7 maximal minors.
+    The input must have full row rank (read off its echelon form).
+    Exhaustive mode walks every maximal minor with _minor_walk and refuses
+    jobs with more than 10^7 of them; sampled mode reads each sampled minor
+    through the echelon form with _echelon_minors.
     """
     rows, cols = m.shape
-    if hnf_rank(m) != rows:
+    reduced = _echelon(list(m.entries))
+    if len(reduced[1]) != rows:
         raise ValueError("matrix does not have full row rank")
     if mode == "exhaustive":
         total = comb(cols, rows)
@@ -463,18 +545,17 @@ def is_unimodular_full_row_rank(
                 f"{total} maximal minors exceed the exhaustive budget of {MINOR_BUDGET}; "
                 "use sampled mode"
             )
-        picks = combinations(range(cols), rows)
-    elif mode == "sampled":
-        rng = random.Random(seed)
-        picks = (tuple(sorted(rng.sample(range(cols), rows))) for _ in range(samples))
-    else:
+        checked, witness, det = _minor_walk(m.entries)
+        return MinorVerdict(mode, witness is None, checked, witness, det)
+    if mode != "sampled":
         raise ValueError(f"unknown scan mode {mode!r}")
+    rng = random.Random(seed)
+    picks = (tuple(sorted(rng.sample(range(cols), rows))) for _ in range(samples))
     checked = 0
-    for checked, col_pick in enumerate(picks, 1):
-        d = det_bareiss([[row[j] for j in col_pick] for row in m.entries])
-        if abs(d) > 1:
-            return MinorVerdict(mode, False, checked, col_pick, d)
-    return MinorVerdict(mode, True if mode == "exhaustive" else None, checked)
+    for checked, (col_pick, det) in enumerate(_echelon_minors(m, reduced, picks), 1):
+        if abs(det) > 1:
+            return MinorVerdict(mode, False, checked, col_pick, det)
+    return MinorVerdict(mode, None, checked)
 
 
 @dataclass(frozen=True)
@@ -507,14 +588,10 @@ def is_totally_unimodular_small(
     checked = 0
     for k in range(1, max_order + 1):
         for row_pick in combinations(range(rows), k):
-            picked = [m.entries[i] for i in row_pick]
-            for col_pick in combinations(range(cols), k):
-                d = det_bareiss([[row[j] for j in col_pick] for row in picked])
-                checked += 1
-                if abs(d) > 1:
-                    return TotalUnimodularityVerdict(
-                        False, checked, row_pick, col_pick, d
-                    )
+            count, col_pick, d = _minor_walk([m.entries[i] for i in row_pick])
+            checked += count
+            if col_pick is not None:
+                return TotalUnimodularityVerdict(False, checked, row_pick, col_pick, d)
     return TotalUnimodularityVerdict(True, checked)
 
 

@@ -216,18 +216,28 @@ def test_json_decimals_read_exactly(capsys, tmp_path):
 
 
 def test_digit_limit_is_the_interpreters(tmp_path):
-    # the JSON check and the weight check read the limit the interpreter
-    # runs under; 0 means no limit
+    # the JSON check, the weight check and the output check read the limit
+    # the interpreter runs under; 0 means no limit
     src = Path(cli.__file__).parents[1]
-    path = tmp_path / "y.json"
+    path = tmp_path / "input.json"
 
-    def decompose(limit, entries):
-        path.write_text('{"labels": ["a", "b"], "entries": %s}' % entries, encoding="utf-8")
+    def run_under(limit, text, *argv):
+        path.write_text(text, encoding="utf-8")
         env = dict(os.environ, PYTHONPATH=str(src), PYTHONINTMAXSTRDIGITS=str(limit))
-        argv = [sys.executable, "-m", "imsetpoly.cli", "decompose", "--y", str(path)]
+        argv = [sys.executable, "-m", "imsetpoly.cli", *argv, str(path)]
         proc = subprocess.run(argv, env=env, capture_output=True, text=True)
         errors = [line for line in proc.stderr.splitlines() if not line.startswith("elapsed ")]
         return proc.returncode, errors
+
+    def decompose(limit, entries):
+        text = '{"labels": ["a", "b"], "entries": %s}' % entries
+        return run_under(limit, text, "decompose", "--y")
+
+    def transform(limit, digits):
+        # u sums three of the four equal entries on the full set
+        entries = ", ".join(f'"{k}": {"9" * digits}' for k in ("a,b", "a,c", "b,c", "a,b,c"))
+        text = '{"labels": ["a", "b", "c"], "kind": "characteristic", "entries": {%s}}' % entries
+        return run_under(limit, text, "transform", "--to", "u", "--in")
 
     assert decompose(640, '{"a": %s}' % ("1" * 640)) == (0, [])
     assert decompose(640, '{"a": %s}' % ("1" * 1000)) == (
@@ -240,6 +250,13 @@ def test_digit_limit_is_the_interpreters(tmp_path):
          "past the interpreter's limit for writing an int"],
     )
     assert decompose(0, '{"a": %s}' % ("1" * 5000)) == (0, [])
+    assert transform(640, 639) == (0, [])
+    assert transform(640, 640) == (
+        2,
+        ["error: the output holds an integer of more than 640 digits, "
+         "past the interpreter's limit for writing an int"],
+    )
+    assert transform(0, 640) == (0, [])
 
 
 # ---------------------------------------------------------------------------
