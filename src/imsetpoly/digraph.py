@@ -107,16 +107,6 @@ def enumerate_dags(ground: GroundSet) -> Iterator[DirectedGraph]:
     parent-set recursion.  Node i is offered only parent sets that avoid its
     descendants among nodes 0..i-1, so no cyclic prefix is ever built; the
     order is that of the acyclic digraphs in enumerate_digraphs."""
-    for parents, allowed, _ in _dag_prefixes(ground):
-        for sub in _submasks(allowed):
-            yield DirectedGraph(ground, parents + (sub,))
-
-
-def _dag_prefixes(ground: GroundSet) -> Iterator[tuple[tuple[int, ...], int, int]]:
-    # (parents of nodes 0..n-2, the parent masks node n-1 may take, packed
-    # super-terminal sum of the prefix), in enumerate_dags order: every
-    # submask of the allowed mask completes the prefix to one DAG.
-    #
     # Each node's parent set runs over the submasks of the nodes it may have
     # as parents, ascending.  desc[j] holds the descendants of j through
     # arrows among the nodes chosen so far, and node i may not take as a
@@ -124,12 +114,10 @@ def _dag_prefixes(ground: GroundSet) -> Iterator[tuple[tuple[int, ...], int, int
     # exactly the cyclic choices.
     last = ground.n - 1
     full = ground.full_mask
-    table = _super_terminal_table(ground)
 
-    def rec(i: int, parents: tuple[int, ...], desc: list[int], packed: int, below: int):
+    def rec(i: int, parents: tuple[int, ...], desc: list[int], below: int):
         # below: the chosen descendants of node i, which it may not take
         allowed = full & ~(1 << i) & ~below
-        row = table[i]
         # i and its descendants become descendants of i's ancestors
         reach = 1 << i | below
         k = i + 1
@@ -142,11 +130,12 @@ def _dag_prefixes(ground: GroundSet) -> Iterator[tuple[tuple[int, ...], int, int
                 if p >> k & 1:
                     below_k |= 1 << j | grown[j]
             if k == last:
-                yield chosen, full & ~(1 << k) & ~below_k, packed + row[sub]
+                for sub_k in _submasks(full & ~(1 << k) & ~below_k):
+                    yield DirectedGraph(ground, chosen + (sub_k,))
             else:
-                yield from rec(k, chosen, grown, packed + row[sub], below_k)
+                yield from rec(k, chosen, grown, below_k)
 
-    yield from rec(0, (), [], 0, 0)
+    yield from rec(0, (), [], 0)
 
 
 @lru_cache(maxsize=None)

@@ -32,7 +32,6 @@ from .constraint import (
 )
 from .digraph import (
     DirectedGraph,
-    _dag_prefixes,
     _super_terminal_table,
     _unpack_counts,
     enumerate_digraphs,
@@ -50,6 +49,7 @@ from .setfam import (
     GroundSet,
     _json_text,
     _submasks,
+    bits_of,
     enumerate_antichains,
     eta_pairs,
     p2_masks,
@@ -159,17 +159,40 @@ class EnumerationBox:
 @lru_cache(maxsize=None)
 def _census_data(ground: GroundSet) -> tuple[int, tuple[int, ...]]:
     """DAG count and the sorted, distinct packed characteristic imsets (see
-    digraph._super_terminal_table; packed ints sort like their tuples)."""
-    last = _super_terminal_table(ground)[-1]
-    # the packed sum of node n-1 over every submask of each allowed mask
-    completions = [[last[sub] for sub in _submasks(mask)] for mask in range(len(last))]
-    seen: set[int] = set()
-    count = 0
-    for _, allowed, packed in _dag_prefixes(ground):
-        tails = completions[allowed]
-        seen.update([packed + t for t in tails])
-        count += len(tails)
-    return count, tuple(sorted(seen))
+    digraph._super_terminal_table; packed ints sort like their tuples), by
+    one pass over the node subsets W, ascending, that lists no DAG.
+
+    Removing a sink v from a DAG on W changes no set without v, and a set
+    containing v reads table[v][pa(v)]; a sink with any parents p in W - v
+    added to a DAG on W - v gives a DAG on W.  So, from Classes({}) = {0},
+    Classes(W) = union over v in W of {c + table[v][p] : c in Classes(W - v),
+    p in W - v}.  A DAG G is counted once, through its largest sink v: that
+    is, when every sink u > v of G - v is a parent of v, and G's sinks are
+    then (sinks(G - v) - p) + v (Robinson's sink decomposition).
+    """
+    table = _super_terminal_table(ground)
+    classes = {0: {0}}
+    # by_sinks[w][s]: the number of DAGs on w whose sinks are s
+    by_sinks = {0: {0: 1}}
+    for w in range(1, ground.full_mask + 1):
+        seen: set[int] = set()
+        counts: dict[int, int] = {}
+        for v in bits_of(w):
+            bit = 1 << v
+            rest = w ^ bit
+            below = classes[rest]
+            for p in _submasks(rest):
+                t = table[v][p]
+                seen.update([c + t for c in below])
+            for sinks, count in by_sinks[rest].items():
+                # sinks above v must be parents of v, sinks below it may
+                # stay sinks, and every other node of rest is free
+                free = count << (rest & ~sinks).bit_count()
+                for kept in _submasks(sinks & (bit - 1)):
+                    counts[kept | bit] = counts.get(kept | bit, 0) + free
+        classes[w] = seen
+        by_sinks[w] = counts
+    return sum(counts.values()), tuple(sorted(seen))
 
 
 @lru_cache(maxsize=None)
@@ -304,8 +327,9 @@ def _pack_lanes(lanes, reach):
     return const, coeffs, high
 
 
-def _satisfying_points(lanes, box: EnumerationBox) -> set[tuple[int, ...]]:
-    """The box points satisfying every compiled lane, by depth-first search.
+def _satisfying_points(lanes, box: EnumerationBox, found=None):
+    """The box points satisfying every compiled lane, by depth-first search,
+    each passed to found.add; found (a new set by default) is returned.
 
     Coordinates are fixed in the order (|S|, mask), and each lane is attached
     at the depth of its last coordinate in that order.  A node checks only
@@ -331,7 +355,9 @@ def _satisfying_points(lanes, box: EnumerationBox) -> set[tuple[int, ...]]:
         own = coeffs.pop(k, 0)
         plan.append((k, box.lower[k], box.upper[k], coeffs.items(), own, const, high))
     point = [0] * len(masks)
-    found: set[tuple[int, ...]] = set()
+    if found is None:
+        found = set()
+    add = found.add
     leaf = len(order) - 1
     tried = 0
 
@@ -351,13 +377,36 @@ def _satisfying_points(lanes, box: EnumerationBox) -> set[tuple[int, ...]]:
             if total & high == high:
                 point[k] = v
                 if d == leaf:
-                    found.add(tuple(point))
+                    add(tuple(point))
                 else:
                     visit(d + 1)
             total += own
 
     visit(0)
     return found
+
+
+class _ScanTally:
+    """What lattice_scan keeps of the satisfying points, which may run to
+    millions before the budget refusal: the census hits, the number of the
+    other points (extras), and the extras themselves while there are at most
+    PAYLOAD_LIST_CAP of them, else a list holding the 16 smallest."""
+
+    def __init__(self, census: frozenset[tuple[int, ...]]):
+        self.census = census
+        self.hits: set[tuple[int, ...]] = set()
+        self.extra = 0
+        self.kept: list[tuple[int, ...]] = []
+
+    def add(self, point: tuple[int, ...]) -> None:
+        if point in self.census:
+            self.hits.add(point)
+        else:
+            self.extra += 1
+            self.kept.append(point)
+            if len(self.kept) > PAYLOAD_LIST_CAP:
+                self.kept.sort()
+                del self.kept[16:]
 
 
 # ---------------------------------------------------------------------------
@@ -389,12 +438,13 @@ def lattice_scan(
         raise ValueError("box ground set does not match")
     system = assemble_system(ground, framework, families)
     census = census_characteristic_set(ground)
-    sat_set = _satisfying_points(_compile_rows(system), box)
-    extra = sorted(sat_set - census)
-    missing = sorted(census - sat_set)
+    tally = _satisfying_points(_compile_rows(system), box, _ScanTally(census))
+    hits = tally.hits
+    satisfying = len(hits) + tally.extra
+    missing = sorted(census - hits)
     witnesses = [
         {"kind": "satisfies_rows_but_not_a_structure", "point": list(p)}
-        for p in extra[:16]
+        for p in sorted(tally.kept)[:16]
     ] + [
         {"kind": "structure_outside_scan_set", "point": list(p)}
         for p in missing[:16]
@@ -413,17 +463,22 @@ def lattice_scan(
         counts={
             "box_points": box.volume(),
             "rows": len(system),
-            "satisfying": len(sat_set),
+            "satisfying": satisfying,
             "census_classes": len(census),
-            "intersection": len(sat_set & census),
-            "extra": len(extra),
+            "intersection": len(hits),
+            "extra": tally.extra,
             "missing": len(missing),
         },
         witnesses=witnesses,
-        passed=not extra and not missing,
+        passed=not tally.extra and not missing,
         payload={
             "coordinates": [ground.subset_key(m) for m in p2_masks(ground)],
-            "satisfying_points": _payload_list(sat_set, list),
+            # every extra is kept while the points fit under the cap
+            "satisfying_points": (
+                _payload_list(hits.union(tally.kept), list)
+                if satisfying <= PAYLOAD_LIST_CAP
+                else {"count": satisfying, "omitted": True}
+            ),
         },
     )
     report.wall_time_s = time.perf_counter() - t0

@@ -14,6 +14,7 @@ from imsetpoly.digraph import (
     super_terminal_counts,
 )
 from imsetpoly.setfam import GroundSet, bits_of, p2_masks
+from imsetpoly.verify import _census_data
 
 
 def dfs_acyclic(g: DirectedGraph) -> bool:
@@ -113,6 +114,15 @@ def test_enumerate_dags_against_recurrence_oracle():
         count = sum(1 for _ in enumerate_dags(g))
         assert count == oracle[n]
     assert oracle[3] == 25 and oracle[4] == 543 and oracle[5] == 29281
+
+
+def test_census_count_by_largest_sink():
+    # the census counts each DAG once, through its largest sink, and lists
+    # none: its count must match the recurrence and the enumeration
+    oracle = robinson_counts(5)
+    for n in (2, 3, 4, 5):
+        g = GroundSet.of_size(n)
+        assert _census_data(g)[0] == oracle[n] == sum(1 for _ in enumerate_dags(g))
 
 
 def test_enumerate_dags_yields_acyclic_only():

@@ -192,8 +192,8 @@ def test_census_classes_sorted_as_tuples():
 
 def test_census_data_against_the_product_route():
     # every loop-free parent tuple by itertools.product, the cyclic ones
-    # dropped by is_acyclic's peeling: nothing of the prefix recursion is used
-    for ground in (G3, G4):
+    # dropped by is_acyclic's peeling: nothing of the sink recursion is used
+    for ground in (GroundSet.of_size(2), G3, G4):
         n = ground.n
         dags = [
             parents
@@ -205,6 +205,13 @@ def test_census_data_against_the_product_route():
         count, packed = verify._census_data(ground)
         assert count == len(dags)
         assert [_unpack_counts(ground, v) for v in packed] == classes
+
+
+def test_census_data_does_not_read_the_labels():
+    # packed sums index subsets by mask, so any labels give the same data
+    for labels in ("yx", "qbz", ("d4", "c3", "b2", "a1"), "vwxyz"):
+        ground = GroundSet(tuple(labels))
+        assert verify._census_data(ground) == verify._census_data(GroundSet.of_size(len(labels)))
 
 
 def test_census_class_payload():
@@ -494,6 +501,32 @@ def test_term_free_rows_ride_the_lanes():
     assert points(row, _c_row(G3, (), "<=", Fraction(1, 2), "half")) == kept
     assert points(_c_row(G3, (), ">=", 1, "false"), row) == set()
     assert points(row, _c_row(G3, (), "=", Fraction(-1, 3), "third")) == set()
+
+
+def test_scan_keeps_counts_and_smallest_extras_past_the_cap():
+    # lattice_scan keeps the census hits, the number of extras and their 16
+    # smallest, not every satisfying point: where the extras pass the cap,
+    # the counts and witnesses must still be those of the box walk
+    from imsetpoly.verify import PAYLOAD_LIST_CAP, _ScanTally
+
+    census = census_characteristic_set(G4)
+    for make_box in (EnumerationBox.zero_one, EnumerationBox.default):
+        box = make_box(G4)
+        expected = [tuple(p) for p in _brute_force_points(G4, "c", ("cluster-c",), box)]
+        extra = [p for p in expected if p not in census]
+        assert len(extra) > PAYLOAD_LIST_CAP
+        report = lattice_scan(G4, "c", ("cluster-c",), box)
+        assert report.counts["satisfying"] == len(expected)
+        assert report.counts["intersection"] == len(expected) - len(extra)
+        assert report.counts["extra"] == len(extra) and report.counts["missing"] == 0
+        assert [w["point"] for w in report.witnesses] == [list(p) for p in extra[:16]]
+        assert report.payload["satisfying_points"] == {"count": len(expected), "omitted": True}
+        # in any order, the tally ends with the same smallest extras
+        random.Random(len(extra)).shuffle(expected)
+        tally = _ScanTally(census)
+        for p in expected:
+            tally.add(p)
+        assert tally.extra == len(extra) and sorted(tally.kept)[:16] == extra[:16]
 
 
 def test_scan_report_is_deterministic():
