@@ -171,10 +171,11 @@ def _census_data(ground: GroundSet) -> tuple[int, tuple[int, ...]]:
     then (sinks(G - v) - p) + v (Robinson's sink decomposition).
     """
     table = _super_terminal_table(ground)
+    full = ground.full_mask
     classes = {0: {0}}
     # by_sinks[w][s]: the number of DAGs on w whose sinks are s
     by_sinks = {0: {0: 1}}
-    for w in range(1, ground.full_mask + 1):
+    for w in range(1, full + 1):
         seen: set[int] = set()
         counts: dict[int, int] = {}
         for v in bits_of(w):
@@ -192,7 +193,7 @@ def _census_data(ground: GroundSet) -> tuple[int, tuple[int, ...]]:
                     counts[kept | bit] = counts.get(kept | bit, 0) + free
         classes[w] = seen
         by_sinks[w] = counts
-    return sum(counts.values()), tuple(sorted(seen))
+    return sum(by_sinks[full].values()), tuple(sorted(classes[full]))
 
 
 @lru_cache(maxsize=None)
