@@ -14,6 +14,7 @@ stderr so stdout stays byte-stable.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -81,6 +82,22 @@ KIND_ALIASES = {
     "standard": "standard",
     "c": "characteristic",
     "characteristic": "characteristic",
+}
+
+# characteristic: the super-terminal counts, the characteristic imset when
+# the graph is acyclic
+_ENCODERS = {
+    "eta": eta_of,
+    "standard": standard_imset_of,
+    "characteristic": quasi_characteristic_of,
+}
+
+# (from, to) -> conversion; nothing converts to eta
+_CONVERSIONS = {
+    ("eta", "standard"): u_from_eta,
+    ("eta", "characteristic"): char_from_eta,
+    ("standard", "characteristic"): characteristic_of,
+    ("characteristic", "standard"): u_from_characteristic,
 }
 
 
@@ -174,10 +191,22 @@ class _JsonDecimal(Fraction):
         return self._text
 
 
+def _json_object(pairs) -> dict:
+    # a repeated key is refused: json would keep its last value silently
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"JSON object repeats the key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, parse_float=_JsonDecimal, parse_int=_json_int)
+            return json.load(
+                fh, parse_float=_JsonDecimal, parse_int=_json_int, object_pairs_hook=_json_object
+            )
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
@@ -206,14 +235,7 @@ def _cmd_example(args) -> int:
 
 def _cmd_encode(args) -> int:
     g = DirectedGraph.from_json_dict(_load_json(args.graph))
-    if args.as_kind == "eta":
-        result = eta_of(g)
-    elif args.as_kind == "standard":
-        result = standard_imset_of(g)
-    else:
-        # super-terminal counts; the characteristic imset when g is acyclic
-        result = quasi_characteristic_of(g)
-    payload = result.to_json_dict()
+    payload = _ENCODERS[args.as_kind](g).to_json_dict()
     payload["acyclic"] = is_acyclic(g)
     _emit_json(payload, args.out)
     return 0
@@ -225,6 +247,18 @@ def _cmd_constraints(args) -> int:
     return 0
 
 
+def _verdict_check(verdict) -> tuple[bool, dict]:
+    """A minor-scan verdict as a check: it passes unless the scan found a
+    witness, and its detail is every field of the verdict, the witness
+    fields only when they are set."""
+    detail = {}
+    for f in dataclasses.fields(verdict):
+        value = getattr(verdict, f.name)
+        if value is not None or not f.name.startswith("witness_"):
+            detail[f.name] = list(value) if isinstance(value, tuple) else value
+    return verdict.witness_det is None, detail
+
+
 def _cmd_matrix(args) -> int:
     if args.dummy_row and args.which != "E":
         raise ValueError("--dummy-row applies to matrix E only")
@@ -234,11 +268,8 @@ def _cmd_matrix(args) -> int:
     if args.csv and args.check is not None:
         raise ValueError("--csv cannot be combined with --check")
     ground = _ground(args)
-    builder = MATRIX_BUILDERS[args.which]
-    if args.which == "E":
-        m = builder(ground, dummy_row=args.dummy_row)
-    else:
-        m = builder(ground)
+    # only E takes a dummy row, and the flag is refused for the others
+    m = MATRIX_BUILDERS[args.which](ground, **({"dummy_row": True} if args.dummy_row else {}))
     if args.check is None:
         if args.csv:
             _emit(m.to_csv(), args.out)
@@ -260,26 +291,9 @@ def _cmd_matrix(args) -> int:
             verdict = is_unimodular_full_row_rank(m, mode="exhaustive")
         except ValueError:
             verdict = is_unimodular_full_row_rank(m, mode="sampled", samples=1000, seed=0)
-        passed = verdict.unimodular is not False
-        detail = {
-            "mode": verdict.mode,
-            "unimodular": verdict.unimodular,
-            "minors_checked": verdict.minors_checked,
-        }
-        if verdict.witness_cols is not None:
-            detail["witness_cols"] = list(verdict.witness_cols)
-            detail["witness_det"] = verdict.witness_det
+        passed, detail = _verdict_check(verdict)
     elif args.check == "tu":
-        verdict = is_totally_unimodular_small(m)
-        passed = verdict.totally_unimodular
-        detail = {
-            "totally_unimodular": verdict.totally_unimodular,
-            "minors_checked": verdict.minors_checked,
-        }
-        if verdict.witness_rows is not None:
-            detail["witness_rows"] = list(verdict.witness_rows)
-            detail["witness_cols"] = list(verdict.witness_cols)
-            detail["witness_det"] = verdict.witness_det
+        passed, detail = _verdict_check(is_totally_unimodular_small(m))
     else:
         passed, detail = _products_check(args.which, ground)
     _emit_json(
@@ -296,30 +310,20 @@ def _cmd_decompose(args) -> int:
     if violation is not None:
         _emit_json({"in_cone": False, "terms": [], "violation": violation}, args.out)
         return 1
-    terms = conic_decompose(y)
     reconstructed = [Fraction(0)] * (1 << y.ground.n)
-    for antichain, weight in terms:
-        for t, v in enumerate(y_of_class(antichain).values):
-            reconstructed[t] += weight * v
-    exact = tuple(reconstructed) == tuple(y.values)
+    terms = []
     limit = _max_digits()
-    for antichain, weight in terms:
+    for antichain, weight in conic_decompose(y):
         if limit and max(abs(weight.numerator), weight.denominator) >= 10**limit:
             raise ValueError(
                 f"the weight of class {antichain.tag()} has more than {limit} digits, "
                 "past the interpreter's limit for writing an int"
             )
-    _emit_json(
-        {
-            "in_cone": True,
-            "terms": [
-                {"class": antichain.tag(), "weight": str(weight)}
-                for antichain, weight in terms
-            ],
-            "reconstruction_exact": exact,
-        },
-        args.out,
-    )
+        for t, v in enumerate(y_of_class(antichain).values):
+            reconstructed[t] += weight * v
+        terms.append({"class": antichain.tag(), "weight": str(weight)})
+    exact = tuple(reconstructed) == tuple(y.values)
+    _emit_json({"in_cone": True, "terms": terms, "reconstruction_exact": exact}, args.out)
     return 0 if exact else 1
 
 
@@ -337,19 +341,11 @@ def _cmd_transform(args) -> int:
     actual = imset.to_json_dict()["kind"]
     if src is not None and src != actual:
         raise ValueError(f"input file holds a {actual!r} vector, not {src!r}")
-    if dst == actual:
-        result = imset
-    elif actual == "eta":
-        result = u_from_eta(imset) if dst == "standard" else char_from_eta(imset)
-    elif actual == "standard":
-        if dst == "eta":
-            raise ValueError("a standard imset does not determine an eta vector")
-        result = characteristic_of(imset)
-    else:
-        if dst == "eta":
-            raise ValueError("a characteristic imset does not determine an eta vector")
-        result = u_from_characteristic(imset)
-    _emit_json(result.to_json_dict(), args.out)
+    if dst != actual:
+        if (actual, dst) not in _CONVERSIONS:
+            raise ValueError(f"a {actual} imset does not determine an eta vector")
+        imset = _CONVERSIONS[actual, dst](imset)
+    _emit_json(imset.to_json_dict(), args.out)
     return 0
 
 
@@ -403,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--as",
         dest="as_kind",
-        choices=("eta", "standard", "characteristic"),
+        choices=tuple(_ENCODERS),
         required=True,
     )
     add_out(p)

@@ -22,6 +22,7 @@ from .setfam import (
     GroundSet,
     SetClass,
     _ground_from_labels,
+    _keyed_entries,
     _rational_entries,
     _submasks,
     _superset_bits,
@@ -656,8 +657,7 @@ class DualVector(_Vector):
             raise ValueError("dual vector JSON needs 'labels' and 'entries'") from None
         ground = _ground_from_labels(labels)
         values = [Fraction(0)] * (1 << ground.n)
-        for key, v in _rational_entries(entries):
-            mask = ground.parse_subset(key)
+        for mask, v in _keyed_entries(_rational_entries(entries), ground.parse_subset):
             if mask == 0:
                 raise ValueError("dual vectors carry no entry at the empty set")
             values[mask] = v

@@ -22,6 +22,7 @@ from .setfam import (
     GroundSet,
     _ground_from_labels,
     _integer_entries,
+    _keyed_entries,
     _submasks,
     bits_of,
     eta_pairs,
@@ -317,20 +318,18 @@ def imset_from_json_dict(data: dict):
     ground = _ground_from_labels(labels)
     if kind == "eta":
         values = [0] * (ground.n * (1 << (ground.n - 1)))
-        for key, v in _integer_entries(entries):
-            i, b = ground.parse_pair(key)
+        for (i, b), v in _keyed_entries(_integer_entries(entries), ground.parse_pair):
             values[pair_index(ground, i, b)] = v
         return EtaVector(ground, tuple(values))
     if kind == "standard":
         values = [0] * (1 << ground.n)
-        for key, v in _integer_entries(entries):
-            values[ground.parse_subset(key)] = v
+        for mask, v in _keyed_entries(_integer_entries(entries), ground.parse_subset):
+            values[mask] = v
         return StandardImset(ground, tuple(values))
     if kind == "characteristic":
         values = [0] * len(p2_masks(ground))
         index = p2_index(ground)
-        for key, v in _integer_entries(entries):
-            mask = ground.parse_subset(key)
+        for mask, v in _keyed_entries(_integer_entries(entries), ground.parse_subset):
             if mask.bit_count() < 2:
                 raise ValueError(
                     "characteristic imset entries need subsets with >= 2 members"

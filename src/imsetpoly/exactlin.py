@@ -365,13 +365,8 @@ def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
 
 
 def hnf_rank(m: IntMatrix) -> int:
-    h, _ = hermite_normal_form(m)
-    rows, cols = h.shape
-    rank = 0
-    for j in range(cols):
-        if any(h.entries[i][j] != 0 for i in range(rows)):
-            rank += 1
-    return rank
+    """The rank of m: the number of nonzero columns of its Hermite form."""
+    return _hnf_check(m)[1]["rank"]
 
 
 def _hnf_check(m: IntMatrix) -> tuple[bool, dict]:

@@ -203,6 +203,18 @@ def _integer_entries(entries):
         yield key, int(value)
 
 
+def _keyed_entries(pairs, coordinate):
+    """(coordinate(key), value) for each (key, value) in pairs; two keys that
+    name one coordinate, such as "a,b" and "b,a", are refused, not merged."""
+    named = {}
+    for key, value in pairs:
+        at = coordinate(key)
+        if at in named:
+            raise ValueError(f"entries {named[at]!r} and {key!r} name the same coordinate")
+        named[at] = key
+        yield at, value
+
+
 @lru_cache(maxsize=None)
 def p1_masks(ground: GroundSet) -> tuple[int, ...]:
     """Non-empty subsets, ascending."""

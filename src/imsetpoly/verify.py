@@ -493,30 +493,26 @@ def soundness_check(
 ) -> VerificationReport:
     """Check that every census structure satisfies every generated u row.
 
-    The rows are the equality rows, the specific rows (all of them for
-    n <= 4, a seeded sample of specific_sample of them for n = 5) and the
-    cluster-u rows, all from assemble_system.  At n <= 4 the nonspecific
-    rows follow, and the "rays" parameter counts them; at n = 5 that family
-    is refused, and "rays" is null.  The census is bit-sliced, one int per
-    coordinate with one lane per structure, so each row is evaluated once
-    over all structures; a failing structure is then named with its first
-    violated row in _compile_rows order.
+    The rows form one system: the equality rows, the specific rows of walk,
+    the cluster-u rows and, at n <= 4, the nonspecific rows.  walk is the
+    whole antichain walk, or at n = 5 a seeded sample of specific_sample of
+    its antichains.  The "rays" parameter counts the nonspecific rows; at
+    n = 5 that family is refused, and "rays" is null.  The census is
+    bit-sliced, one int per coordinate with one lane per structure, so each
+    row is evaluated once over all structures; a failing structure is then
+    named with its first violated row in _compile_rows order.
     """
     t0 = time.perf_counter()
     antichains = list(walk_antichains(ground))
     sampled = len(antichains) > specific_sample and ground.n >= 5
-    # the nonspecific rows go last; that family is refused at n >= 5
-    nonspecific = ("nonspecific",) if ground.n <= 4 else ()
-    if sampled:
-        sample = random.Random(seed).sample(antichains, specific_sample)
-        equality, cluster = (
-            assemble_system(ground, "u", (family,)).rows for family in ("equality", "cluster-u")
-        )
-        rows = equality + tuple(specific_rows(ground, "specific", sample)) + cluster
-        system = ConstraintSystem(ground, "u", rows)
-    else:
-        system = assemble_system(ground, "u", ("equality", "specific", "cluster-u") + nonspecific)
-    rays = sum(row.tag.startswith("nonspecific:") for row in system) if nonspecific else None
+    walk = random.Random(seed).sample(antichains, specific_sample) if sampled else antichains
+    equality, cluster, nonspecific = (
+        assemble_system(ground, "u", families).rows
+        for families in (("equality",), ("cluster-u",), ("nonspecific",) if ground.n <= 4 else ())
+    )
+    system = ConstraintSystem(
+        ground, "u", equality + tuple(specific_rows(ground, "specific", walk)) + cluster + nonspecific
+    )
     lanes = _compile_rows(system)
     # the census bit-sliced: sliced[k] holds coordinate k (byte k of the
     # packed sum) of every structure, one w-bit lane each in sorted order
@@ -566,7 +562,7 @@ def soundness_check(
             "specific_rows": "sampled" if sampled else "all",
             "specific_sample": specific_sample if sampled else len(antichains),
             "seed": seed,
-            "rays": rays,
+            "rays": len(nonspecific) if ground.n <= 4 else None,
         },
         counts={"structures": checked, "rows": len(system)},
         witnesses=witnesses,

@@ -15,6 +15,12 @@ import pytest
 from imsetpoly import cli
 from imsetpoly.cli import main
 from imsetpoly.constraint import ConeViolationError, y_of_class
+from imsetpoly.exactlin import (
+    IntMatrix,
+    build_matrix_A,
+    is_totally_unimodular_small,
+    is_unimodular_full_row_rank,
+)
 from imsetpoly.setfam import Antichain, GroundSet
 
 G3 = GroundSet.of_size(3)
@@ -339,6 +345,32 @@ def test_matrix_checks(capsys):
     )
     assert code == 0
     assert data["detail"] == {"columns_have_one_plus_and_one_minus": True}
+
+
+def test_verdict_check_prints_a_witness_only_when_set():
+    # no catalog matrix has a unimodularity witness, so a 1 x 2 one stands in
+    m = IntMatrix(((1, 2),), ("r",), ("x", "y"))
+    assert cli._verdict_check(is_unimodular_full_row_rank(m)) == (False, {
+        "mode": "exhaustive",
+        "unimodular": False,
+        "minors_checked": 2,
+        "witness_cols": [1],
+        "witness_det": 2,
+    })
+    assert cli._verdict_check(is_totally_unimodular_small(m)) == (False, {
+        "totally_unimodular": False,
+        "minors_checked": 2,
+        "witness_rows": [0],
+        "witness_cols": [1],
+        "witness_det": 2,
+    })
+    # a clean sampled scan certifies nothing, and says so with null
+    clean = is_unimodular_full_row_rank(build_matrix_A(G3), mode="sampled", samples=5)
+    assert cli._verdict_check(clean) == (True, {
+        "mode": "sampled",
+        "unimodular": None,
+        "minors_checked": 5,
+    })
 
 
 # ---------------------------------------------------------------------------

@@ -273,6 +273,9 @@ def test_json_round_trips():
         assert imset_from_json_dict(data) == obj
     with pytest.raises(ValueError):
         imset_from_json_dict({"labels": ["a", "b"], "kind": "odd", "entries": {}})
+    # a kind that is not a string is refused the same way, not hashed
+    with pytest.raises(ValueError, match="unknown imset kind"):
+        imset_from_json_dict({"labels": ["a", "b"], "kind": ["eta"], "entries": {}})
     with pytest.raises(ValueError):
         imset_from_json_dict({"kind": "eta"})
     with pytest.raises(ValueError):
