@@ -778,6 +778,38 @@ _FAMILY_ROWS: dict[str, dict[str, Callable[[GroundSet], Iterable[LinearConstrain
 }
 ETA_FAMILIES, U_FAMILIES, C_FAMILIES = (tuple(_FAMILY_ROWS[f]) for f in ("eta", "u", "c"))
 
+# each u family whose rows are known in c coordinates without the transform
+# u = Moebius(1 - c), with the function that builds them there from a ground
+# set and a walk (as for specific_rows), row for row in the u family's order:
+# the standardization equalities read 0 = 0 there, a specific row pulls back
+# to its antichain's kappa-specific row and a cluster-u row to its set's
+# cluster-c row.  The rows carry the twin's tags; only the family names
+# differ.
+_C_TWINS: dict[str, Callable[[GroundSet, Sequence | None], Iterable[LinearConstraint]]] = {
+    "equality": lambda ground, walk: (
+        LinearConstraint("c", {}, "=", 0, row.tag) for row in u_equality_system(ground)
+    ),
+    "specific": lambda ground, walk: specific_rows(ground, "kappa-specific", walk),
+    "cluster-u": lambda ground, walk: _FAMILY_ROWS["c"]["cluster-c"](ground),
+}
+
+
+def _family_builders(framework: str, families: Sequence[str]):
+    """Each requested family of a framework with the function that builds its
+    rows, in the order given.  A family listed twice, whose rows would all
+    appear twice, is refused first, then an unknown framework, then an
+    unknown family when it is reached."""
+    for k, family in enumerate(families):
+        if family in families[:k]:
+            raise ValueError(f"constraint family {family!r} is listed twice")
+    if framework not in _FAMILY_ROWS:
+        raise ValueError(f"unknown framework {framework!r}")
+    builders = _FAMILY_ROWS[framework]
+    for family in families:
+        if family not in builders:
+            raise ValueError(f"unknown {framework} constraint family {family!r}")
+        yield family, builders[family]
+
 
 def assemble_system(
     ground: GroundSet,
@@ -785,20 +817,11 @@ def assemble_system(
     families: Sequence[str],
 ) -> ConstraintSystem:
     """Build the requested constraint families of a framework, in the order
-    given.  A family listed twice, whose rows would all appear twice, is
-    refused.
+    given, with the refusals of _family_builders.
     """
-    for k, family in enumerate(families):
-        if family in families[:k]:
-            raise ValueError(f"constraint family {family!r} is listed twice")
-    if framework not in _FAMILY_ROWS:
-        raise ValueError(f"unknown framework {framework!r}")
-    builders = _FAMILY_ROWS[framework]
     rows: list[LinearConstraint] = []
-    for family in families:
-        if family not in builders:
-            raise ValueError(f"unknown {framework} constraint family {family!r}")
-        rows.extend(builders[family](ground))
+    for _family, build in _family_builders(framework, families):
+        rows.extend(build(ground))
     return ConstraintSystem(ground, framework, tuple(rows))
 
 

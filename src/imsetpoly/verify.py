@@ -18,8 +18,10 @@ from itertools import product
 from math import lcm, prod
 
 from .constraint import (
+    _C_TWINS,
     ConstraintSystem,
     LinearConstraint,
+    _family_builders,
     assemble_system,
     cluster_constraint_u,
     cluster_supermodular,
@@ -28,7 +30,6 @@ from .constraint import (
     is_supermodular,
     kappa_coefficients,
     specific_constraint,
-    specific_rows,
 )
 from .digraph import (
     DirectedGraph,
@@ -252,6 +253,7 @@ def _compile_rows(system: ConstraintSystem):
     n = ground.n
     masks = p2_masks(ground)
     keys = frozenset(masks if system.framework == "c" else range(1 << n))
+    index = {m: k for k, m in enumerate(masks)}
     lanes = []
     for row in system.rows:
         if not row.coeffs.keys() <= keys:
@@ -265,7 +267,7 @@ def _compile_rows(system: ConstraintSystem):
             entries = {m: int(v * scale) for m, v in entries.items()}
         rhs = int(row.rhs * scale)
         if system.framework == "c":
-            coeffs = [entries.get(m, 0) for m in masks]
+            terms = {index[m]: v for m, v in entries.items()}
         else:
             a = [0] * (1 << n)
             for mask, coeff in entries.items():
@@ -273,7 +275,7 @@ def _compile_rows(system: ConstraintSystem):
             b = superset_moebius(a[::-1], n)[::-1]
             coeffs = [-b[m] for m in masks]
             rhs += sum(coeffs)
-        terms = {k: v for k, v in enumerate(coeffs) if v}
+            terms = {k: v for k, v in enumerate(coeffs) if v}
         if row.sense != "<=":
             lanes.append((terms, rhs, row.tag))
         if row.sense != ">=":
@@ -281,20 +283,38 @@ def _compile_rows(system: ConstraintSystem):
     return lanes
 
 
+def _family_lanes(ground: GroundSet, framework: str, families, walk=None):
+    """The lanes (_compile_rows) of the rows of assemble_system(ground,
+    framework, families), in the same order and with the same refusals, and
+    the number of rows of each family, keyed by family.
+
+    A 'u' family with a c twin (constraint._C_TWINS) takes the lanes of its
+    twin's rows, which are its own rows pulled back, with the family name in
+    their tags put back; only the other 'u' rows go through the transform.
+    walk picks the antichains of the specific rows, as for specific_rows.
+    """
+    lanes = []
+    sizes = {}
+    for family, build in _family_builders(framework, families):
+        twin = _C_TWINS.get(family) if framework == "u" else None
+        if twin is None:
+            system = ConstraintSystem(ground, framework, tuple(build(ground)))
+            lanes += _compile_rows(system)
+        else:
+            system = ConstraintSystem(ground, "c", tuple(twin(ground, walk)))
+            lanes += [
+                (a, r, f"{family}:{tag.partition(':')[2]}")
+                for a, r, tag in _compile_rows(system)
+            ]
+        sizes[family] = len(system)
+    return lanes, sizes
+
+
 def _first_violation(lanes, vector):
     for a, r, tag in lanes:
         if sum(v * vector[k] for k, v in a.items()) < r:
             return tag
     return None
-
-
-def _pack(values, width: int) -> int:
-    """One int holding values[i] in bits [i * width, (i + 1) * width); a
-    negative value borrows from the lanes above it."""
-    nbytes = width // 8
-    pos = b"".join(max(v, 0).to_bytes(nbytes, "little") for v in values)
-    neg = b"".join(max(-v, 0).to_bytes(nbytes, "little") for v in values)
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 def _lane_width(lanes, reach) -> int:
@@ -317,14 +337,20 @@ def _pack_lanes(lanes, reach):
     (_lane_width) keeps that value inside [0, 2^w), so the borrows of
     negative coefficients are all paid back and the lanes read exactly: lane
     i holds when its high bit is set, and every lane holds when
-    total & high == high.
+    total & high == high.  coeffs[k] is the sum of a[k] << (i * w) over the
+    lanes i whose a has the key k.
     """
     width = _lane_width(lanes, reach)
     bias = 1 << (width - 1)
-    coords = sorted({k for a, _r, _tag in lanes for k in a})
-    coeffs = {k: _pack([a.get(k, 0) for a, _r, _tag in lanes], width) for k in coords}
-    const = _pack([bias - r for _a, r, _tag in lanes], width)
-    high = _pack([bias] * len(lanes), width)
+    const = high = 0
+    coeffs: dict[int, int] = {}
+    get = coeffs.get
+    for i, (a, r, _tag) in enumerate(lanes):
+        shift = i * width
+        const += (bias - r) << shift
+        high |= bias << shift
+        for k, v in a.items():
+            coeffs[k] = get(k, 0) + (v << shift)
     return const, coeffs, high
 
 
@@ -423,8 +449,8 @@ def lattice_scan(
     """Find the integer characteristic points of the box satisfying every
     requested row, by a pruned depth-first search (_satisfying_points).
 
-    Points are built in characteristic coordinates, and 'u' rows are pulled
-    back to them at compile time, so every point stands for the standard
+    Points are built in characteristic coordinates, and 'u' rows are read
+    there (_family_lanes), so every point stands for the standard
     imset u = Moebius(1 - c), which satisfies the standardization equalities
     by construction.  The budget bounds the coordinate values the search
     tries, not the box volume.  The scan passes when the satisfying set
@@ -437,9 +463,9 @@ def lattice_scan(
         raise ValueError("lattice scans are limited to n <= 5")
     if box.ground != ground:
         raise ValueError("box ground set does not match")
-    system = assemble_system(ground, framework, families)
+    lanes, sizes = _family_lanes(ground, framework, families)
     census = census_characteristic_set(ground)
-    tally = _satisfying_points(_compile_rows(system), box, _ScanTally(census))
+    tally = _satisfying_points(lanes, box, _ScanTally(census))
     hits = tally.hits
     satisfying = len(hits) + tally.extra
     missing = sorted(census - hits)
@@ -463,7 +489,7 @@ def lattice_scan(
         },
         counts={
             "box_points": box.volume(),
-            "rows": len(system),
+            "rows": sum(sizes.values()),
             "satisfying": satisfying,
             "census_classes": len(census),
             "intersection": len(hits),
@@ -493,27 +519,22 @@ def soundness_check(
 ) -> VerificationReport:
     """Check that every census structure satisfies every generated u row.
 
-    The rows form one system: the equality rows, the specific rows of walk,
-    the cluster-u rows and, at n <= 4, the nonspecific rows.  walk is the
-    whole antichain walk, or at n = 5 a seeded sample of specific_sample of
-    its antichains.  The "rays" parameter counts the nonspecific rows; at
-    n = 5 that family is refused, and "rays" is null.  The census is
-    bit-sliced, one int per coordinate with one lane per structure, so each
-    row is evaluated once over all structures; a failing structure is then
-    named with its first violated row in _compile_rows order.
+    The rows are, in this order, the equality rows, the specific rows of
+    walk, the cluster-u rows and, at n <= 4, the nonspecific rows, read in
+    characteristic coordinates (_family_lanes).  walk is the whole antichain
+    walk, or at n = 5 a seeded sample of specific_sample of its antichains.
+    The "rays" parameter counts the nonspecific rows; at n = 5 that family
+    is refused, and "rays" is null.  The census is bit-sliced, one int per
+    coordinate with one lane per structure, so each row is evaluated once
+    over all structures; a failing structure is then named with its first
+    violated row in the order above.
     """
     t0 = time.perf_counter()
     antichains = list(walk_antichains(ground))
     sampled = len(antichains) > specific_sample and ground.n >= 5
     walk = random.Random(seed).sample(antichains, specific_sample) if sampled else antichains
-    equality, cluster, nonspecific = (
-        assemble_system(ground, "u", families).rows
-        for families in (("equality",), ("cluster-u",), ("nonspecific",) if ground.n <= 4 else ())
-    )
-    system = ConstraintSystem(
-        ground, "u", equality + tuple(specific_rows(ground, "specific", walk)) + cluster + nonspecific
-    )
-    lanes = _compile_rows(system)
+    families = ("equality", "specific", "cluster-u") + (("nonspecific",) if ground.n <= 4 else ())
+    lanes, sizes = _family_lanes(ground, "u", families, walk)
     # the census bit-sliced: sliced[k] holds coordinate k (byte k of the
     # packed sum) of every structure, one w-bit lane each in sorted order
     classes = _census_data(ground)[1]
@@ -562,9 +583,9 @@ def soundness_check(
             "specific_rows": "sampled" if sampled else "all",
             "specific_sample": specific_sample if sampled else len(antichains),
             "seed": seed,
-            "rays": len(nonspecific) if ground.n <= 4 else None,
+            "rays": sizes.get("nonspecific"),
         },
-        counts={"structures": checked, "rows": len(system)},
+        counts={"structures": checked, "rows": sum(sizes.values())},
         witnesses=witnesses,
         passed=not witnesses,
     )
@@ -604,12 +625,10 @@ def relaxation_comparison(
         box = EnumerationBox.default(ground)
     elif box.ground != ground:
         raise ValueError("box ground set does not match")
+    shared = _family_lanes(ground, "u", ("equality", "specific"))[0]
     set_a, set_b = (
-        _satisfying_points(_compile_rows(assemble_system(ground, "u", families)), box)
-        for families in (
-            ("equality", "specific", "nonspecific"),
-            ("equality", "specific", "cluster-u"),
-        )
+        _satisfying_points(shared + _family_lanes(ground, "u", (family,))[0], box)
+        for family in ("nonspecific", "cluster-u")
     )
     leaked = sorted(set_a - set_b)
     witnesses = [

@@ -361,6 +361,72 @@ def test_u_rows_pulled_back_match_the_c_rows():
             assert lanes(ground, row) == [({}, 0), ({}, 0)]
 
 
+def test_twin_lanes_match_the_pulled_back_u_rows():
+    # the scans and the soundness check read the equality, specific and
+    # cluster-u rows through their c twins; the lanes, tags included, must
+    # be those of the u rows pulled back through the transform
+    from imsetpoly.constraint import assemble_system
+
+    families = ("equality", "specific", "cluster-u")
+    cases = [(ground, sub) for ground in (GroundSet.of_size(2), G3, G4)
+             for sub in _family_subsets(families) + [families[::-1]]]
+    for ground, sub in cases + [(G5, families)]:
+        lanes, sizes = verify._family_lanes(ground, "u", sub)
+        system = assemble_system(ground, "u", sub)
+        assert lanes == _compile_rows(system), (ground.n, sub)
+        assert list(sizes) == list(sub) and sum(sizes.values()) == len(system)
+
+
+def _count_butterflies(monkeypatch):
+    # the number of superset_moebius calls made by the scans and checks
+    calls = []
+    butterfly = verify.superset_moebius
+
+    def counted(values, n):
+        calls.append(n)
+        return butterfly(values, n)
+
+    monkeypatch.setattr(verify, "superset_moebius", counted)
+    return calls
+
+
+def test_only_rows_without_a_c_twin_are_pulled_back(monkeypatch, capsys):
+    # the 37 nonspecific rows at n = 4 are the only ones that take the
+    # transform: no specific, cluster-u or equality row does
+    from imsetpoly import cli
+
+    calls = _count_butterflies(monkeypatch)
+    assert cli.main(["scan", "--n", "4", "--framework", "u"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 37
+    calls.clear()
+    assert soundness_check(G4).passed
+    assert len(calls) == 37
+    calls.clear()
+    box = EnumerationBox.zero_one(G4)
+    assert lattice_scan(G4, "u", ("equality", "specific", "cluster-u"), box).passed
+    assert calls == []
+    assert relaxation_comparison(G3).passed
+    assert len(calls) == 5
+    calls.clear()
+    report = soundness_check(G5, specific_sample=30)
+    assert report.passed and report.counts["rows"] == 62
+    assert calls == []
+
+
+def test_scan_row_count_is_the_assembled_systems():
+    # a scan counts its rows family by family; the count must be that of
+    # the one system assemble_system builds
+    from imsetpoly.constraint import assemble_system
+
+    for ground in (G3, G4):
+        box = EnumerationBox.zero_one(ground)
+        for framework, families in (("u", U_ALL), ("c", C_DEFAULT)):
+            for sub in _family_subsets(families):
+                report = lattice_scan(ground, framework, sub, box)
+                assert report.counts["rows"] == len(assemble_system(ground, framework, sub))
+
+
 def test_compile_rows_refuses_a_key_outside_the_coordinates():
     # a c row is keyed by the subsets with >= 2 members and a u row by all
     # 2**n subsets; a key outside them would be dropped or misread, so the
@@ -484,6 +550,61 @@ def test_pruned_search_far_from_zero():
     assert points(((0, -1),), ">=", 995) == {(v,) for v in range(-1000, -994)}
 
 
+def _dense_pack(values, width: int) -> int:
+    """Oracle: one int holding values[i] in bits [i * width, (i + 1) * width),
+    built from one to_bytes per lane and sign; a negative value borrows from
+    the lanes above it."""
+    nbytes = width // 8
+    pos = b"".join(max(v, 0).to_bytes(nbytes, "little") for v in values)
+    neg = b"".join(max(-v, 0).to_bytes(nbytes, "little") for v in values)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def test_pack_lanes_matches_the_dense_packing():
+    # random lane groups with signed coefficients of any size, term-free
+    # lanes and empty groups: the sparse packing must give the dense ints
+    from imsetpoly.verify import _lane_width, _pack_lanes
+
+    rng = random.Random(7)
+    seen = set()
+    for _ in range(400):
+        dim = rng.randint(1, 6)
+        lanes = []
+        for i in range(rng.choice((0, 1, 2, 5, 12, 40))):
+            support = rng.sample(range(dim), rng.randint(0, dim))
+            a = {k: rng.choice((-1, 1)) * rng.randint(1, rng.choice((3, 300, 10**6))) for k in support}
+            lanes.append((a, rng.randint(-1000, 1000), f"lane{i}"))
+        # the dense ints hold only coefficients that fit in a lane, which
+        # a reach of 0 does not ask of its coordinate
+        reach = [rng.randint(1, 50) for _ in range(dim)]
+        const, coeffs, high = _pack_lanes(lanes, reach)
+        width = _lane_width(lanes, reach)
+        bias = 1 << (width - 1)
+        coords = sorted({k for a, _r, _tag in lanes for k in a})
+        assert coeffs == {
+            k: _dense_pack([a.get(k, 0) for a, _r, _tag in lanes], width) for k in coords
+        }
+        assert const == _dense_pack([bias - r for _a, r, _tag in lanes], width)
+        assert high == _dense_pack([bias] * len(lanes), width)
+        assert all(type(x) is int for x in (const, high, *coeffs.values()))
+        seen.add("empty" if not lanes else "term-free" if not all(a for a, _r, _t in lanes) else "terms")
+        seen.update("negative" for a, _r, _t in lanes if min(a.values(), default=0) < 0)
+        seen.update("wide" for _ in [0] if width > 16)
+    assert seen == {"empty", "term-free", "terms", "negative", "wide"}
+
+
+def test_pruned_search_with_a_coordinate_fixed_at_zero():
+    # the lane width leaves out a coordinate the box fixes at 0, so its
+    # coefficient may not fit in a lane; it is packed all the same and
+    # multiplies 0
+    from imsetpoly.verify import _satisfying_points
+
+    box = EnumerationBox(G3, (0, 0, 0, 0), (1, 1, 1, 0))
+    row = _c_row(G3, ((0, 1), (3, 1000)), ">=", 1, "row")
+    expected = {p for p in box.points() if p[0] >= 1}
+    assert _satisfying_points(_compiled(G3, "c", [row]), box) == expected
+
+
 def test_term_free_rows_ride_the_lanes():
     # a row with no terms attaches at depth 0: one that holds keeps every
     # point, one that fails empties the result
@@ -573,9 +694,13 @@ def test_soundness_witnesses_name_the_first_violated_row(monkeypatch):
     from imsetpoly import verify
 
     probe = _compiled(G4, "c", [_c_row(G4, ((0, 1),), "<=", 0, "probe")])
-    monkeypatch.setattr(
-        verify, "_compile_rows", lambda system: _compile_rows(system) + probe
-    )
+    family_lanes = verify._family_lanes
+
+    def appended(*args):
+        lanes, sizes = family_lanes(*args)
+        return lanes + probe, sizes
+
+    monkeypatch.setattr(verify, "_family_lanes", appended)
     report = soundness_check(G4)
     ordered = sorted(census_characteristic_set(G4))
     failing = [p for p in ordered if p[0] > 0]
@@ -634,6 +759,7 @@ def test_sliced_soundness_matches_the_per_point_route(monkeypatch):
     # of the point-by-point walk, with none, a few and many failing points
     rng = random.Random(11)
     seen = set()
+    family_lanes = verify._family_lanes
     for ground in (G3, G4):
         masks = p2_masks(ground)
         points = sorted(census_characteristic_set(ground))
@@ -656,12 +782,12 @@ def test_sliced_soundness_matches_the_per_point_route(monkeypatch):
             )
             used = []
 
-            def spliced(system):
-                compiled = before + _compile_rows(system) + after
-                used.append(compiled)
-                return compiled
+            def spliced(*args):
+                lanes, sizes = family_lanes(*args)
+                used.append(before + lanes + after)
+                return used[-1], sizes
 
-            monkeypatch.setattr(verify, "_compile_rows", spliced)
+            monkeypatch.setattr(verify, "_family_lanes", spliced)
             report = soundness_check(ground)
             witnesses, checked = _per_point_soundness(used.pop(), ground)
             assert report.witnesses == witnesses
@@ -675,26 +801,30 @@ def test_sliced_soundness_matches_the_per_point_route(monkeypatch):
 
 def test_soundness_sample_draws_the_same_antichains(monkeypatch):
     # the sample is drawn from the walk; it must be the seeded draw from the
-    # enumerate_antichains list, each row equal to specific_constraint's
+    # enumerate_antichains list, each row's lanes, tag included, those of
+    # specific_constraint's row pulled back through the transform
     from imsetpoly.constraint import specific_constraint
     from imsetpoly.setfam import enumerate_antichains
 
-    systems = []
-    compile_rows = verify._compile_rows
+    compiled = []
+    family_lanes = verify._family_lanes
 
-    def spy(system):
-        systems.append(system)
-        return compile_rows(system)
+    def spy(*args):
+        compiled.append(family_lanes(*args))
+        return compiled[-1]
 
-    monkeypatch.setattr(verify, "_compile_rows", spy)
+    monkeypatch.setattr(verify, "_family_lanes", spy)
     antichains = list(enumerate_antichains(G5))
     for seed in range(5):
         report = soundness_check(G5, specific_sample=30, seed=seed)
         expected = [
             specific_constraint(a) for a in random.Random(seed).sample(antichains, 30)
         ]
-        rows = systems.pop().rows
-        assert [r for r in rows if r.tag.startswith("specific:")] == expected
+        lanes, sizes = compiled.pop()
+        assert [lane for lane in lanes if lane[2].startswith("specific:")] == _compiled(
+            G5, "u", expected
+        )
+        assert sizes == {"equality": 6, "specific": 30, "cluster-u": 26}
         assert report.to_json_dict() == {
             "counts": {"rows": 62, "structures": 8782},
             "experiment": "census-soundness",
@@ -730,6 +860,23 @@ def test_relaxation_comparison():
     assert witness["violates_a_nonspecific_row"]
     with pytest.raises(ValueError):
         relaxation_comparison(G5)
+
+
+def test_relaxation_comparison_compiles_the_shared_rows_once(monkeypatch):
+    # both relaxations hold the equality and specific rows; their lanes are
+    # built once, and each relaxation adds only its own family's
+    requested = []
+    family_lanes = verify._family_lanes
+
+    def spy(ground, framework, families, walk=None):
+        requested.append(tuple(families))
+        return family_lanes(ground, framework, families, walk)
+
+    monkeypatch.setattr(verify, "_family_lanes", spy)
+    for ground in (G3, G4):
+        assert relaxation_comparison(ground).passed
+        assert requested == [("equality", "specific"), ("nonspecific",), ("cluster-u",)]
+        requested.clear()
 
 
 def test_relaxation_comparison_refuses_a_box_over_another_ground_set():
