@@ -368,8 +368,11 @@ def test_twin_lanes_match_the_pulled_back_u_rows():
     from imsetpoly.constraint import assemble_system
 
     families = ("equality", "specific", "cluster-u")
-    cases = [(ground, sub) for ground in (GroundSet.of_size(2), G3, G4)
-             for sub in _family_subsets(families) + [families[::-1]]]
+    cases = [
+        (ground, sub)
+        for ground in (GroundSet.of_size(2), G3, G4)
+        for sub in _family_subsets(families) + [families[::-1]]
+    ]
     for ground, sub in cases + [(G5, families)]:
         lanes, sizes = verify._family_lanes(ground, "u", sub)
         system = assemble_system(ground, "u", sub)
@@ -377,8 +380,12 @@ def test_twin_lanes_match_the_pulled_back_u_rows():
         assert list(sizes) == list(sub) and sum(sizes.values()) == len(system)
 
 
-def _count_butterflies(monkeypatch):
-    # the number of superset_moebius calls made by the scans and checks
+def test_only_rows_without_a_c_twin_are_pulled_back(monkeypatch, capsys):
+    # superset_moebius calls: the nonspecific rows (37 at n = 4, 5 at n = 3)
+    # are the only ones that take the transform; no specific, cluster-u or
+    # equality row does
+    from imsetpoly import cli
+
     calls = []
     butterfly = verify.superset_moebius
 
@@ -387,15 +394,6 @@ def _count_butterflies(monkeypatch):
         return butterfly(values, n)
 
     monkeypatch.setattr(verify, "superset_moebius", counted)
-    return calls
-
-
-def test_only_rows_without_a_c_twin_are_pulled_back(monkeypatch, capsys):
-    # the 37 nonspecific rows at n = 4 are the only ones that take the
-    # transform: no specific, cluster-u or equality row does
-    from imsetpoly import cli
-
-    calls = _count_butterflies(monkeypatch)
     assert cli.main(["scan", "--n", "4", "--framework", "u"]) == 0
     capsys.readouterr()
     assert len(calls) == 37
@@ -571,8 +569,9 @@ def test_pack_lanes_matches_the_dense_packing():
         dim = rng.randint(1, 6)
         lanes = []
         for i in range(rng.choice((0, 1, 2, 5, 12, 40))):
+            size = rng.choice((3, 300, 10**6))
             support = rng.sample(range(dim), rng.randint(0, dim))
-            a = {k: rng.choice((-1, 1)) * rng.randint(1, rng.choice((3, 300, 10**6))) for k in support}
+            a = {k: rng.choice((-1, 1)) * rng.randint(1, size) for k in support}
             lanes.append((a, rng.randint(-1000, 1000), f"lane{i}"))
         # the dense ints hold only coefficients that fit in a lane, which
         # a reach of 0 does not ask of its coordinate
@@ -587,10 +586,11 @@ def test_pack_lanes_matches_the_dense_packing():
         assert const == _dense_pack([bias - r for _a, r, _tag in lanes], width)
         assert high == _dense_pack([bias] * len(lanes), width)
         assert all(type(x) is int for x in (const, high, *coeffs.values()))
-        seen.add("empty" if not lanes else "term-free" if not all(a for a, _r, _t in lanes) else "terms")
-        seen.update("negative" for a, _r, _t in lanes if min(a.values(), default=0) < 0)
-        seen.update("wide" for _ in [0] if width > 16)
-    assert seen == {"empty", "term-free", "terms", "negative", "wide"}
+        seen.add("wide" if width > 16 else "narrow")
+        seen.add("empty" if not lanes else "lanes")
+        for a, _r, _tag in lanes:
+            seen.add("term-free" if not a else "negative" if min(a.values()) < 0 else "positive")
+    assert seen == {"wide", "narrow", "empty", "lanes", "term-free", "negative", "positive"}
 
 
 def test_pruned_search_with_a_coordinate_fixed_at_zero():
