@@ -15,7 +15,7 @@ from json.encoder import encode_basestring as _quote
 from math import gcd
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .encode import _Vector, semi_elementary_imset
+from .encode import _Vector, semi_elementary_imset, superset_moebius
 from .exactlin import _echelon
 from .setfam import (
     Antichain,
@@ -749,12 +749,27 @@ def conic_decompose(y: DualVector) -> list[tuple[Antichain, Fraction]]:
 # system assembly over a whole framework
 
 
-def _nonspecific_rows(ground: GroundSet) -> tuple[LinearConstraint, ...]:
-    """The one source of nonspecific rows: the builtin rays at n = 3 and the
+def _nonspecific_rays(ground: GroundSet) -> list[SupermodularFunction]:
+    """The one source of nonspecific rays: the builtin rays at n = 3 and the
     computed rays at n = 2 and 4.  Larger n is refused (117 978 rays at
     n = 5)."""
-    source = "builtin" if ground.n == 3 else "computed"
-    return nonspecific_constraints(ground, supermodular_rays(ground, source)).rows
+    return supermodular_rays(ground, "builtin" if ground.n == 3 else "computed")
+
+
+def _nonspecific_rows(ground: GroundSet) -> tuple[LinearConstraint, ...]:
+    return nonspecific_constraints(ground, _nonspecific_rays(ground)).rows
+
+
+def _nonspecific_rows_c(ground: GroundSet) -> Iterator[LinearConstraint]:
+    """The nonspecific rows pulled back through u = Moebius(1 - c on the
+    subsets with >= 2 members): with b the subset-Moebius transform of a
+    ray m, pairing(m, u) >= 0 reads  sum of -b(S) c(S) >= -sum of b(S),  S
+    ranging over those subsets.  One 2^n butterfly per ray."""
+    masks = p2_masks(ground)
+    for k, ray in enumerate(_nonspecific_rays(ground)):
+        b = superset_moebius([int(v) for v in ray.values[::-1]], ground.n)[::-1]
+        coeffs = {m: -b[m] for m in masks}
+        yield LinearConstraint("c", coeffs, ">=", sum(coeffs.values()), f"nonspecific:{k}")
 
 
 # each framework's families in canonical order, each with the function that
@@ -778,18 +793,19 @@ _FAMILY_ROWS: dict[str, dict[str, Callable[[GroundSet], Iterable[LinearConstrain
 }
 ETA_FAMILIES, U_FAMILIES, C_FAMILIES = (tuple(_FAMILY_ROWS[f]) for f in ("eta", "u", "c"))
 
-# each u family whose rows are known in c coordinates without the transform
-# u = Moebius(1 - c), with the function that builds them there from a ground
-# set and a walk (as for specific_rows), row for row in the u family's order:
-# the standardization equalities read 0 = 0 there, a specific row pulls back
-# to its antichain's kappa-specific row and a cluster-u row to its set's
-# cluster-c row.  The rows carry the twin's tags; only the family names
-# differ.
+# each u family with the function that builds its rows pulled back to c
+# coordinates through u = Moebius(1 - c), from a ground set and a walk (as
+# for specific_rows), row for row in the u family's order: the
+# standardization equalities read 0 = 0 there, a specific row pulls back to
+# its antichain's kappa-specific row, a cluster-u row to its set's cluster-c
+# row, and a nonspecific row to its ray's transform.  The rows carry the
+# twin's tags; only the family names differ.
 _C_TWINS: dict[str, Callable[[GroundSet, Sequence | None], Iterable[LinearConstraint]]] = {
     "equality": lambda ground, walk: (
         LinearConstraint("c", {}, "=", 0, row.tag) for row in u_equality_system(ground)
     ),
     "specific": lambda ground, walk: specific_rows(ground, "kappa-specific", walk),
+    "nonspecific": lambda ground, walk: _nonspecific_rows_c(ground),
     "cluster-u": lambda ground, walk: _FAMILY_ROWS["c"]["cluster-c"](ground),
 }
 

@@ -38,12 +38,7 @@ from .digraph import (
     enumerate_digraphs,
     is_acyclic,
 )
-from .encode import (
-    StandardImset,
-    eta_of,
-    quasi_characteristic_of,
-    superset_moebius,
-)
+from .encode import StandardImset, eta_of, quasi_characteristic_of
 from .exactlin import _row_rank
 from .setfam import (
     Antichain,
@@ -53,6 +48,7 @@ from .setfam import (
     bits_of,
     enumerate_antichains,
     eta_pairs,
+    p2_index,
     p2_masks,
     walk_antichains,
 )
@@ -235,47 +231,29 @@ def census_equivalence_classes(ground: GroundSet) -> VerificationReport:
 
 
 def _compile_rows(system: ConstraintSystem):
-    """Compile the rows of a 'u' or 'c' system to lanes (a, r, tag) over
-    characteristic coordinates, each reading  sum of a[k] c_k >= r  with
-    integer a, keyed by index into the ascending list of subsets with >= 2
-    members, and integer r.  A '<=' row is negated, an '=' row gives both
-    halves, and a row with rational entries is scaled to integers once.
-
-    A 'u' row a.u <sense> r is pulled back through the exact map
-    u = Moebius(1 - c on those subsets): with b the subset-Moebius transform
-    of a, it reads  sum of -b(S) c(S)  <sense>  r - sum of b(S),  S ranging
-    over the subsets with >= 2 members.  Lanes follow the system's row
-    order, a row's lanes adjacent, so the first violated lane at a point
-    names the first violated row.  A key outside the framework's coordinates
-    is refused with the row's tag.
+    """Compile the rows of a 'c' system to lanes (a, r, tag), each reading
+    sum of a[k] c_k >= r  with integer a, keyed by index into the ascending
+    list of subsets with >= 2 members, and integer r.  A '<=' row is
+    negated, an '=' row gives both halves, and a row with rational entries
+    is scaled to integers once.  Lanes follow the system's row order, a
+    row's lanes adjacent, so the first violated lane at a point names the
+    first violated row.  A key outside the coordinates is refused with the
+    row's tag; a 'u' row reaches lanes through its c twin (_family_lanes).
     """
-    ground = system.ground
-    n = ground.n
-    masks = p2_masks(ground)
-    keys = frozenset(masks if system.framework == "c" else range(1 << n))
-    index = {m: k for k, m in enumerate(masks)}
+    if system.framework != "c":
+        raise ValueError(f"lanes compile from 'c' rows only, not {system.framework!r} rows")
+    index = p2_index(system.ground)
     lanes = []
     for row in system.rows:
-        if not row.coeffs.keys() <= keys:
-            raise ValueError(
-                f"row {row.tag!r} has a key outside the {system.framework!r} coordinates"
-            )
+        if not row.coeffs.keys() <= index.keys():
+            raise ValueError(f"row {row.tag!r} has a key outside the 'c' coordinates")
         # whole entries are ints already; only a row with a Fraction is scaled
         scale = lcm(row.rhs.denominator, *[v.denominator for v in row.coeffs.values()])
         entries = row.coeffs
         if scale > 1:
             entries = {m: int(v * scale) for m, v in entries.items()}
         rhs = int(row.rhs * scale)
-        if system.framework == "c":
-            terms = {index[m]: v for m, v in entries.items()}
-        else:
-            a = [0] * (1 << n)
-            for mask, coeff in entries.items():
-                a[mask] = coeff
-            b = superset_moebius(a[::-1], n)[::-1]
-            coeffs = [-b[m] for m in masks]
-            rhs += sum(coeffs)
-            terms = {k: v for k, v in enumerate(coeffs) if v}
+        terms = {index[m]: v for m, v in entries.items()}
         if row.sense != "<=":
             lanes.append((terms, rhs, row.tag))
         if row.sense != ">=":
@@ -288,25 +266,20 @@ def _family_lanes(ground: GroundSet, framework: str, families, walk=None):
     framework, families), in the same order and with the same refusals, and
     the number of rows of each family, keyed by family.
 
-    A 'u' family with a c twin (constraint._C_TWINS) takes the lanes of its
-    twin's rows, which are its own rows pulled back, with the family name in
-    their tags put back; only the other 'u' rows go through the transform.
-    walk picks the antichains of the specific rows, as for specific_rows.
+    A 'u' family takes the rows of its c twin (constraint._C_TWINS), which
+    are its own rows pulled back, and a 'c' family its own rows; either way
+    each tag is given the family's name.  walk picks the antichains of the
+    specific rows, as for specific_rows.
     """
     lanes = []
     sizes = {}
     for family, build in _family_builders(framework, families):
-        twin = _C_TWINS.get(family) if framework == "u" else None
-        if twin is None:
-            system = ConstraintSystem(ground, framework, tuple(build(ground)))
-            lanes += _compile_rows(system)
-        else:
-            system = ConstraintSystem(ground, "c", tuple(twin(ground, walk)))
-            lanes += [
-                (a, r, f"{family}:{tag.partition(':')[2]}")
-                for a, r, tag in _compile_rows(system)
-            ]
-        sizes[family] = len(system)
+        rows = tuple(_C_TWINS[family](ground, walk) if framework == "u" else build(ground))
+        lanes += [
+            (a, r, f"{family}:{tag.partition(':')[2]}")
+            for a, r, tag in _compile_rows(ConstraintSystem(ground, "c", rows))
+        ]
+        sizes[family] = len(rows)
     return lanes, sizes
 
 

@@ -2,7 +2,8 @@
 package __init__.py files, which import to re-export, are exempt.  Every
 absolute import in src/ names a standard-library module.  Every
 module-level private name in src/ is read somewhere in src/.  Every function
-the benchmark's span tracer patches still exists in the package."""
+the benchmark's span tracer patches still exists in the package.  verify.py
+uses no Moebius transform."""
 
 import ast
 import importlib
@@ -144,6 +145,41 @@ def test_the_check_finds_orphaned_private_names():
 def test_no_orphaned_private_names():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
     assert orphaned_private_names(sources) == []
+
+
+TRANSFORMS = ("superset_moebius", "superset_zeta")
+
+
+def transform_uses(source: str) -> list[str]:
+    """The Moebius transforms (TRANSFORMS) a module imports or reads as an
+    attribute."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name.rsplit(".", 1)[-1] for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        found += [f"{name} (line {node.lineno})" for name in names if name in TRANSFORMS]
+    return found
+
+
+def test_the_check_finds_transform_uses():
+    source = (
+        "from .encode import eta_of, superset_moebius as moebius\n"
+        "from . import encode\n"
+        "x = encode.superset_zeta([1], 0)\n"
+        "y = encode.superset_butterfly\n"
+    )
+    assert transform_uses(source) == ["superset_moebius (line 1)", "superset_zeta (line 3)"]
+
+
+def test_verify_uses_no_moebius_transform():
+    # every row reaches the evaluator in c coordinates, a u family through
+    # its c twin in constraint._C_TWINS; a transform in verify.py would be a
+    # second route from u rows to lanes
+    assert transform_uses((PACKAGE / "verify.py").read_text(encoding="utf-8")) == []
 
 
 def traced_names(source: str) -> list[tuple[str, str]]:

@@ -1,8 +1,10 @@
 """Census, lattice scans, soundness and relaxation experiments, and the
 bundled reference checks."""
 
+import functools
 import itertools
 import json
+import operator
 import random
 from fractions import Fraction
 
@@ -10,6 +12,7 @@ import pytest
 
 from imsetpoly import verify
 from imsetpoly.constraint import ConstraintSystem, LinearConstraint
+from imsetpoly.encode import CharacteristicImset, u_from_characteristic
 from imsetpoly.digraph import (
     DirectedGraph,
     _unpack_counts,
@@ -328,10 +331,50 @@ def test_scan_refuses_a_box_over_another_ground_set():
             lattice_scan(G3, "c", ("kappa-specific", "cluster-c"), box)
 
 
+# the lane signs of a row's halves: a '<=' row is negated, and an '=' row
+# gives a '>=' half and a negated one
+_HALVES = {">=": (1,), "<=": (-1,), "=": (1, -1)}
+
+
+@functools.lru_cache(maxsize=None)
+def _affine_basis(ground):
+    """u = u_from_characteristic(c) at c = 0 and then at each unit vector of
+    the characteristic coordinates: an affine basis of them."""
+    size = len(p2_masks(ground))
+    return [
+        u_from_characteristic(CharacteristicImset(ground, [int(j == k) for j in range(size)]))
+        .values
+        for k in range(-1, size)
+    ]
+
+
+def _assert_lanes_read_the_u_rows(ground, rows, lanes):
+    """Oracle without the pull-back: the lanes of u rows, one per half, in
+    the rows' order and with their tags, each reading
+    sum of a[k] c_k - r = sign * (a.u - rhs)  at u = u_from_characteristic(c)
+    on an affine basis, so everywhere.  A lane reads -r at c = 0 and
+    a[k] - r at the k-th unit vector."""
+    basis = _affine_basis(ground)
+    size = len(basis) - 1
+    halves = [(row, sign) for row in rows for sign in _HALVES[row.sense]]
+    assert len(lanes) == len(halves)
+    for (a, r, tag), (row, sign) in zip(lanes, halves):
+        assert tag == row.tag and all(0 <= k < size for k in a)
+        dense = [0] * (1 << ground.n)
+        for t, v in row.coeffs.items():
+            dense[t] = v
+        expected = [sign * (sum(map(operator.mul, dense, u)) - row.rhs) for u in basis]
+        assert [-r] + [a.get(k, 0) - r for k in range(size)] == expected, tag
+
+
 def test_u_rows_pulled_back_match_the_c_rows():
-    # the compiler maps u rows to c coordinates through u = Moebius(1 - c);
-    # the c families are built by the kappa recursion, an independent route
+    # each u row, built on its own, against the lanes of its c row: the
+    # kappa recursion for a specific row, the cluster-c row for a cluster-u
+    # row, 0 = 0 for an equality and, at n <= 4, the nonspecific twin row
+    # of the same ray
     from imsetpoly.constraint import (
+        _C_TWINS,
+        _nonspecific_rows,
         char_specific_constraint,
         cluster_constraint_c,
         cluster_constraint_u,
@@ -340,60 +383,64 @@ def test_u_rows_pulled_back_match_the_c_rows():
     )
     from imsetpoly.setfam import enumerate_antichains
 
-    def lanes(ground, row):
-        return [lane[:2] for lane in _compiled(ground, row.framework, [row])]
-
     for ground, antichains, clusters in ((G3, 18, 4), (G4, 166, 11), (G5, 7579, 26)):
         specific = list(enumerate_antichains(ground))
         assert len(specific) == antichains and len(p2_masks(ground)) == clusters
+        u_rows, c_rows = [], []
         for antichain in specific:
-            # a.u <= 1 pulls back to the kappa row a'.c >= r' times -1, and
-            # its lane, negated as every '<=' lane is, is the kappa row's
-            u_row = specific_constraint(antichain)
-            c_row = char_specific_constraint(antichain)
-            assert (u_row.sense, c_row.sense) == ("<=", ">=")
-            u_lanes = lanes(ground, u_row)
-            assert len(u_lanes) == 1 and u_lanes == lanes(ground, c_row)
+            u_rows.append(specific_constraint(antichain))
+            c_rows.append(char_specific_constraint(antichain))
+            assert (u_rows[-1].sense, c_rows[-1].sense) == ("<=", ">=")
         for c in p2_masks(ground):
-            u_lanes = lanes(ground, cluster_constraint_u(ground, c))
-            assert u_lanes == lanes(ground, cluster_constraint_c(ground, c))
+            u_rows.append(cluster_constraint_u(ground, c))
+            c_rows.append(cluster_constraint_c(ground, c))
         for row in u_equality_system(ground):
-            assert lanes(ground, row) == [({}, 0), ({}, 0)]
+            u_rows.append(row)
+            c_rows.append(LinearConstraint("c", {}, "=", 0, row.tag))
+        if ground.n <= 4:
+            u_rows += _nonspecific_rows(ground)
+            c_rows += _C_TWINS["nonspecific"](ground, None)
+        # the oracle compares tags, and the c rows carry the c family names
+        lanes = [
+            (a, r, u_row.tag)
+            for u_row, c_row in zip(u_rows, c_rows, strict=True)
+            for a, r, _tag in _compiled(ground, "c", [c_row])
+        ]
+        _assert_lanes_read_the_u_rows(ground, u_rows, lanes)
 
 
 def test_twin_lanes_match_the_pulled_back_u_rows():
-    # the scans and the soundness check read the equality, specific and
-    # cluster-u rows through their c twins; the lanes, tags included, must
-    # be those of the u rows pulled back through the transform
+    # the scans and the soundness check read every u family through its c
+    # twin; the lanes, tags and order included, must read the u rows of the
+    # same families at every point
     from imsetpoly.constraint import assemble_system
 
-    families = ("equality", "specific", "cluster-u")
     cases = [
         (ground, sub)
         for ground in (GroundSet.of_size(2), G3, G4)
-        for sub in _family_subsets(families) + [families[::-1]]
+        for sub in _family_subsets(U_ALL) + [U_ALL[::-1]]
     ]
-    for ground, sub in cases + [(G5, families)]:
+    for ground, sub in cases + [(G5, ("equality", "specific", "cluster-u"))]:
         lanes, sizes = verify._family_lanes(ground, "u", sub)
         system = assemble_system(ground, "u", sub)
-        assert lanes == _compile_rows(system), (ground.n, sub)
         assert list(sizes) == list(sub) and sum(sizes.values()) == len(system)
+        _assert_lanes_read_the_u_rows(ground, system.rows, lanes)
 
 
 def test_only_rows_without_a_c_twin_are_pulled_back(monkeypatch, capsys):
-    # superset_moebius calls: the nonspecific rows (37 at n = 4, 5 at n = 3)
-    # are the only ones that take the transform; no specific, cluster-u or
-    # equality row does
-    from imsetpoly import cli
+    # superset_moebius calls: the nonspecific twin rows (37 at n = 4, 5 at
+    # n = 3), one per ray, are the only ones built through the transform;
+    # no specific, cluster-u or equality twin is
+    from imsetpoly import cli, constraint
 
     calls = []
-    butterfly = verify.superset_moebius
+    butterfly = constraint.superset_moebius
 
     def counted(values, n):
         calls.append(n)
         return butterfly(values, n)
 
-    monkeypatch.setattr(verify, "superset_moebius", counted)
+    monkeypatch.setattr(constraint, "superset_moebius", counted)
     assert cli.main(["scan", "--n", "4", "--framework", "u"]) == 0
     capsys.readouterr()
     assert len(calls) == 37
@@ -426,16 +473,21 @@ def test_scan_row_count_is_the_assembled_systems():
 
 
 def test_compile_rows_refuses_a_key_outside_the_coordinates():
-    # a c row is keyed by the subsets with >= 2 members and a u row by all
-    # 2**n subsets; a key outside them would be dropped or misread, so the
-    # compiler names the row instead
+    # a c row is keyed by the subsets with >= 2 members; a key outside them
+    # would be dropped or misread, so the compiler names the row instead
     base = LinearConstraint("c", {3: 1}, ">=", 0, "kept")
-    for framework, key in (("c", 1), ("c", 9), ("u", -1), ("u", 8)):
-        row = LinearConstraint(framework, {3: 1, key: 5}, ">=", 1, f"bad-{key}")
-        rows = [row] if framework == "u" else [base, row]
+    for key in (1, 9):
+        row = LinearConstraint("c", {3: 1, key: 5}, ">=", 1, f"bad-{key}")
         with pytest.raises(ValueError, match=f"'bad-{key}'"):
-            _compiled(G3, framework, rows)
+            _compiled(G3, "c", [base, row])
     assert _compiled(G3, "c", [base]) == [({0: 1}, 0, "kept")]
+    # a u system, with any keys or none, is refused: u rows reach lanes
+    # through their c twins only
+    for rows in ([], [LinearConstraint("u", {3: 1}, ">=", 0, "u")], [
+        LinearConstraint("u", {3: 1, 8: 5}, ">=", 1, "bad-8")
+    ]):
+        with pytest.raises(ValueError, match="^lanes compile from 'c' rows only, not 'u' rows$"):
+            _compiled(G3, "u", rows)
 
 
 def test_compile_rows_keeps_the_system_order():
@@ -462,12 +514,11 @@ def _c_row(ground, terms, sense, rhs, tag):
 
 
 def _brute_force_points(ground, framework, families, box):
-    # the box walk the search replaces: every point, every row
-    from imsetpoly.constraint import assemble_system
+    # the box walk the search replaces: every point, every lane
     from imsetpoly.verify import _first_violation
 
-    compiled = _compile_rows(assemble_system(ground, framework, families))
-    return [list(p) for p in box.points() if _first_violation(compiled, p) is None]
+    lanes = verify._family_lanes(ground, framework, families)[0]
+    return [list(p) for p in box.points() if _first_violation(lanes, p) is None]
 
 
 def _family_subsets(families):
@@ -493,7 +544,6 @@ def _search_cases():
 
 
 def test_pruned_search_matches_the_box_walk():
-    from imsetpoly.constraint import assemble_system
     from imsetpoly.verify import PAYLOAD_LIST_CAP, _satisfying_points
 
     cases = list(_search_cases())
@@ -501,7 +551,7 @@ def test_pruned_search_matches_the_box_walk():
     for ground, framework, families, make_box in cases:
         box = make_box(ground)
         expected = _brute_force_points(ground, framework, families, box)
-        lanes = _compile_rows(assemble_system(ground, framework, families))
+        lanes = verify._family_lanes(ground, framework, families)[0]
         found = _satisfying_points(lanes, box)
         assert [list(p) for p in sorted(found)] == expected, (framework, families)
         points = lattice_scan(ground, framework, families, box).payload["satisfying_points"]
@@ -801,8 +851,8 @@ def test_sliced_soundness_matches_the_per_point_route(monkeypatch):
 
 def test_soundness_sample_draws_the_same_antichains(monkeypatch):
     # the sample is drawn from the walk; it must be the seeded draw from the
-    # enumerate_antichains list, each row's lanes, tag included, those of
-    # specific_constraint's row pulled back through the transform
+    # enumerate_antichains list, each row's lanes, tag included, reading
+    # specific_constraint's row of the same antichain
     from imsetpoly.constraint import specific_constraint
     from imsetpoly.setfam import enumerate_antichains
 
@@ -821,9 +871,8 @@ def test_soundness_sample_draws_the_same_antichains(monkeypatch):
             specific_constraint(a) for a in random.Random(seed).sample(antichains, 30)
         ]
         lanes, sizes = compiled.pop()
-        assert [lane for lane in lanes if lane[2].startswith("specific:")] == _compiled(
-            G5, "u", expected
-        )
+        sampled = [lane for lane in lanes if lane[2].startswith("specific:")]
+        _assert_lanes_read_the_u_rows(G5, expected, sampled)
         assert sizes == {"equality": 6, "specific": 30, "cluster-u": 26}
         assert report.to_json_dict() == {
             "counts": {"rows": 62, "structures": 8782},
