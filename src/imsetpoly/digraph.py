@@ -144,14 +144,21 @@ def _super_terminal_table(ground: GroundSet) -> tuple[tuple[int, ...], ...]:
     # the highest byte, holding 1 for each {i} + T, T a non-empty subset of p.
     # A sum over the nodes counts at most n <= 6 per lane, so lanes never
     # carry, and packed sums compare like the tuples of their lanes.
+    # Read off one subset-sum transform: z[x] holds the lanes of every subset
+    # of x with >= 2 members, and those of p + i that hold i are the {i} + T.
     index = p2_index(ground)
     top = len(index) - 1
+    size = 1 << ground.n
+    z = [0] * size
+    for m, k in index.items():
+        z[m] = 1 << 8 * (top - k)
+    for i in range(ground.n):
+        bit = 1 << i
+        for x in range(size):
+            if x & bit:
+                z[x] += z[x ^ bit]
     return tuple(
-        tuple(
-            sum(1 << 8 * (top - index[t | 1 << i]) for t in _submasks(p & ~(1 << i))[1:])
-            for p in range(1 << ground.n)
-        )
-        for i in range(ground.n)
+        tuple(z[p | 1 << i] - z[p & ~(1 << i)] for p in range(size)) for i in range(ground.n)
     )
 
 

@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import product
+from itertools import chain, product
 from math import lcm, prod
 
 from .constraint import (
@@ -154,10 +154,11 @@ class EnumerationBox:
 
 
 @lru_cache(maxsize=None)
-def _census_data(ground: GroundSet) -> tuple[int, tuple[int, ...]]:
-    """DAG count and the sorted, distinct packed characteristic imsets (see
-    digraph._super_terminal_table; packed ints sort like their tuples), by
-    one pass over the node subsets W, ascending, that lists no DAG.
+def _census_data(ground: GroundSet) -> tuple[int, frozenset[int]]:
+    """DAG count and the set of distinct packed characteristic imsets (see
+    digraph._super_terminal_table), by one pass over the node subsets W,
+    ascending, that lists no DAG.  The set is unordered: a reader that needs
+    an order sorts it (packed ints sort like their tuples).
 
     Removing a sink v from a DAG on W changes no set without v, and a set
     containing v reads table[v][pa(v)]; a sink with any parents p in W - v
@@ -169,28 +170,31 @@ def _census_data(ground: GroundSet) -> tuple[int, tuple[int, ...]]:
     """
     table = _super_terminal_table(ground)
     full = ground.full_mask
-    classes = {0: {0}}
+    classes = {0: frozenset([0])}
     # by_sinks[w][s]: the number of DAGs on w whose sinks are s
     by_sinks = {0: {0: 1}}
     for w in range(1, full + 1):
-        seen: set[int] = set()
+        members = list(bits_of(w))
+        # one frozenset straight from the lists, never a set copied into one
+        classes[w] = frozenset(
+            chain.from_iterable(
+                [c + t for c in classes[w ^ 1 << v]]
+                for v in members
+                for t in map(table[v].__getitem__, _submasks(w ^ 1 << v))
+            )
+        )
         counts: dict[int, int] = {}
-        for v in bits_of(w):
+        for v in members:
             bit = 1 << v
             rest = w ^ bit
-            below = classes[rest]
-            for p in _submasks(rest):
-                t = table[v][p]
-                seen.update([c + t for c in below])
             for sinks, count in by_sinks[rest].items():
                 # sinks above v must be parents of v, sinks below it may
                 # stay sinks, and every other node of rest is free
                 free = count << (rest & ~sinks).bit_count()
                 for kept in _submasks(sinks & (bit - 1)):
                     counts[kept | bit] = counts.get(kept | bit, 0) + free
-        classes[w] = seen
         by_sinks[w] = counts
-    return sum(by_sinks[full].values()), tuple(sorted(classes[full]))
+    return sum(by_sinks[full].values()), classes[full]
 
 
 @lru_cache(maxsize=None)
@@ -509,8 +513,9 @@ def soundness_check(
     families = ("equality", "specific", "cluster-u") + (("nonspecific",) if ground.n <= 4 else ())
     lanes, sizes = _family_lanes(ground, "u", families, walk)
     # the census bit-sliced: sliced[k] holds coordinate k (byte k of the
-    # packed sum) of every structure, one w-bit lane each in sorted order
-    classes = _census_data(ground)[1]
+    # packed sum) of every structure, one w-bit lane each in sorted order,
+    # which fixes the witness order and the structures checked
+    classes = sorted(_census_data(ground)[1])
     size = len(p2_masks(ground))
     data = b"".join([v.to_bytes(size, "big") for v in classes])
     columns = [data[k::size] for k in range(size)]

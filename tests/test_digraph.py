@@ -7,13 +7,14 @@ import pytest
 
 from imsetpoly.digraph import (
     DirectedGraph,
+    _super_terminal_table,
     enumerate_dags,
     enumerate_digraphs,
     is_acyclic,
     super_terminal_count,
     super_terminal_counts,
 )
-from imsetpoly.setfam import GroundSet, bits_of, p2_masks
+from imsetpoly.setfam import GroundSet, _submasks, bits_of, p2_index, p2_masks
 from imsetpoly.verify import _census_data
 
 
@@ -160,6 +161,23 @@ def test_super_terminal_counts_at_n6():
         )
         assert super_terminal_counts(g, parents) == expected
     assert super_terminal_counts(g, graphs[0]) == tuple(s.bit_count() for s in p2_masks(g))
+
+
+def test_super_terminal_table_against_the_submask_sums():
+    # oracle: table[i][p] as one sum per (i, p) over the non-empty submasks
+    # T of p - i, of the lane of {i} + T
+    for n in range(2, 7):
+        g = GroundSet.of_size(n)
+        index = p2_index(g)
+        top = len(index) - 1
+        oracle = tuple(
+            tuple(
+                sum(1 << 8 * (top - index[t | 1 << i]) for t in _submasks(p & ~(1 << i))[1:])
+                for p in range(1 << n)
+            )
+            for i in range(n)
+        )
+        assert _super_terminal_table(g) == oracle
 
 
 def test_acyclic_super_terminal_at_most_one():

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from imsetpoly import verify
+from imsetpoly.cli import main
 from imsetpoly.constraint import ConstraintSystem, LinearConstraint
 from imsetpoly.encode import CharacteristicImset, u_from_characteristic
 from imsetpoly.digraph import (
@@ -189,7 +190,7 @@ def test_census_classes_sorted_as_tuples():
             )
             for g in enumerate_dags(ground)
         }
-    decoded = [_unpack_counts(G5, v) for v in verify._census_data(G5)[1]]
+    decoded = [_unpack_counts(G5, v) for v in sorted(verify._census_data(G5)[1])]
     assert decoded == sorted(census_characteristic_set(G5))
 
 
@@ -207,7 +208,18 @@ def test_census_data_against_the_product_route():
         classes = sorted({super_terminal_counts(ground, parents) for parents in dags})
         count, packed = verify._census_data(ground)
         assert count == len(dags)
-        assert [_unpack_counts(ground, v) for v in packed] == classes
+        assert [_unpack_counts(ground, v) for v in sorted(packed)] == classes
+
+
+def test_census_data_is_an_unordered_set_listed_sorted(capsys):
+    # the census keeps its classes as a frozenset and never sorts them; the
+    # n <= 4 payload lists them in tuple order all the same
+    for ground in (G3, G4, G5):
+        assert type(verify._census_data(ground)[1]) is frozenset
+    for n, count in ((3, 11), (4, 185)):
+        assert main(["census", "--n", str(n)]) == 0
+        points = [tuple(p) for p in json.loads(capsys.readouterr().out)["payload"]["class_points"]]
+        assert len(points) == count and points == sorted(set(points))
 
 
 def test_census_data_does_not_read_the_labels():
