@@ -175,7 +175,8 @@ def _census_data(ground: GroundSet) -> tuple[int, frozenset[int]]:
     by_sinks = {0: {0: 1}}
     for w in range(1, full + 1):
         members = list(bits_of(w))
-        # one frozenset straight from the lists, never a set copied into one
+        # one frozenset straight from the lists: a set copied into one would
+        # hold both at once, the largest memory cost of the n = 6 census
         classes[w] = frozenset(
             chain.from_iterable(
                 [c + t for c in classes[w ^ 1 << v]]
