@@ -81,6 +81,25 @@ class LinearConstraint:
         object.__setattr__(self, "coeffs", cleaned)
         object.__setattr__(self, "rhs", _exact(self.rhs))
 
+    @classmethod
+    def _canonical(
+        cls, framework: str, coeffs: dict, sense: str, rhs: int, tag: str
+    ) -> LinearConstraint:
+        """The row from parts already in the form __post_init__ gives them,
+        with none of its checks or copies: no generated __init__, no
+        framework or sense check, no cleaning of coeffs, no _exact.
+
+        Precondition: coeffs is a dict the row alone owns, every value in it
+        is a nonzero int, rhs is an int, and framework and sense are valid.
+        For rows the program builds itself; input from outside goes through
+        LinearConstraint(...).
+        """
+        row = object.__new__(cls)
+        row.__dict__.update(
+            framework=framework, coeffs=coeffs, sense=sense, rhs=rhs, tag=tag
+        )
+        return row
+
     def __hash__(self) -> int:
         # coeffs is a dict; hash its items in key order so equal rows agree
         items = tuple(sorted_items(self.coeffs))
@@ -383,13 +402,13 @@ def specific_rows(ground: GroundSet, family: str, walk=None) -> Iterator[LinearC
             stack.append((prefix + (m,), grow(entries, m), tag))
         _, entries, tag = stack[-1]
         if family == "specific":
-            yield LinearConstraint("u", entries, "<=", 1, tag)
+            yield LinearConstraint._canonical("u", entries.copy(), "<=", 1, tag)
             continue
         coeffs = entries.copy()
         for s in sets:
             if not s & (s - 1):
                 del coeffs[s]
-        yield LinearConstraint("c", coeffs, ">=", len(coeffs) - len(entries), tag)
+        yield LinearConstraint._canonical("c", coeffs, ">=", len(coeffs) - len(entries), tag)
 
 
 def _grow_measure(mu: dict[int, int], m: int) -> dict[int, int]:

@@ -57,6 +57,17 @@ def test_census_command(capsys):
     assert "elapsed" in err
 
 
+def test_package_runs_as_a_module(capsys):
+    # python -m imsetpoly is the console script
+    src = Path(cli.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = [sys.executable, "-m", "imsetpoly", "census", "--n", "3"]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True)
+    code, out, _ = run(capsys, "census", "--n", "3")
+    assert proc.returncode == code == 0
+    assert proc.stdout == out
+
+
 def test_scan_command(capsys):
     code, data, _ = run_json(
         capsys, "scan", "--n", "3", "--framework", "u", "--box", "01",

@@ -326,16 +326,21 @@ def test_walk_rows_equal_the_per_antichain_rows():
     for n in (2, 3, 4, 5):
         g = GroundSet.of_size(n)
         walk = list(walk_antichains(g))
-        u_rows = list(specific_rows(g, "specific", walk))
-        c_rows = list(specific_rows(g, "kappa-specific", walk))
-        assert len(u_rows) == len(c_rows) == len(walk)
-        for (sets, closure), u_row, c_row in zip(walk, u_rows, c_rows):
-            antichain = Antichain(g, sets)
-            assert u_row == specific_constraint(antichain)
-            assert c_row == char_specific_constraint(antichain)
-            for row in (u_row, c_row):
-                assert all(type(v) is int for v in row.coeffs.values())
+        for family, twin in (
+            ("specific", specific_constraint),
+            ("kappa-specific", char_specific_constraint),
+        ):
+            for (sets, _), row in zip(walk, specific_rows(g, family, walk), strict=True):
+                validated = twin(Antichain(g, sets))
+                assert row == validated and hash(row) == hash(validated)
+                # the walk builds its rows clean: nonzero int entries, an int rhs
+                assert all(type(v) is int and v for v in row.coeffs.values())
                 assert type(row.rhs) is int
+                # each row owns its coefficients: emptying them as they are
+                # yielded must leave every later row of the walk intact
+                row.coeffs.clear()
+        for sets, closure in walk:
+            antichain = Antichain(g, sets)
             # the subset-Moebius transform of the closure indicator is the
             # kappa vector of the recursion over the union closure
             indicator = [closure >> t & 1 for t in range(1 << n)]

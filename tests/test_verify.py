@@ -731,6 +731,20 @@ def test_soundness_all_rows():
         assert report.parameters["specific_rows"] == "all"
 
 
+def test_soundness_checks_every_n5_row_by_default():
+    # no sample unless one is asked for: all 7 579 specific rows, with the
+    # 6 equality and 26 cluster-u rows
+    import inspect
+
+    assert inspect.signature(soundness_check).parameters["specific_sample"].default is None
+    report = soundness_check(G5)
+    assert report.passed
+    assert report.counts == {"structures": 8782, "rows": 7611}
+    assert report.parameters["specific_rows"] == "all"
+    assert report.parameters["specific_sample"] == 7579
+    assert report.parameters["rays"] is None
+
+
 def test_soundness_checks_all_four_u_families_up_to_n4():
     # equality, specific and cluster-u rows, then the nonspecific rows the
     # package builds itself: 3+4+1+1 rows at n = 2, 4+18+4+5 at n = 3 and
