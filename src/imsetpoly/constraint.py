@@ -376,7 +376,10 @@ def specific_rows(ground: GroundSet, family: str, walk=None) -> Iterator[LinearC
     is rebuilt from its sets.  mu_A is 1 on each singleton member of A, and
     those entries move to the right-hand side.  Rows equal
     specific_constraint and char_specific_constraint; a u row's coeffs are
-    in growth order.
+    in growth order.  Every entry is already a nonzero int, so the rows skip
+    the constructor's checks (LinearConstraint._canonical); each row gets
+    its own copy of the stack's entries, so changing one row's coeffs
+    cannot change the rows derived after it.
     """
     if family == "specific":
         up = [dict.fromkeys(bits_of(b), 1) for b in _superset_bits(ground.n)]

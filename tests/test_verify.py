@@ -724,25 +724,15 @@ def test_scan_report_is_deterministic():
 
 
 def test_soundness_all_rows():
-    for ground in (G3, G4):
+    # no sample unless one is asked for, at n = 5 too
+    for ground in (G3, G4, G5):
         report = soundness_check(ground)
         assert report.passed
         assert report.counts["structures"] == len(census_characteristic_set(ground))
         assert report.parameters["specific_rows"] == "all"
-
-
-def test_soundness_checks_every_n5_row_by_default():
-    # no sample unless one is asked for: all 7 579 specific rows, with the
-    # 6 equality and 26 cluster-u rows
-    import inspect
-
-    assert inspect.signature(soundness_check).parameters["specific_sample"].default is None
-    report = soundness_check(G5)
-    assert report.passed
-    assert report.counts == {"structures": 8782, "rows": 7611}
-    assert report.parameters["specific_rows"] == "all"
+    # the 7 579 specific rows with the 6 equality and 26 cluster-u rows
+    assert report.counts["rows"] == 7611
     assert report.parameters["specific_sample"] == 7579
-    assert report.parameters["rays"] is None
 
 
 def test_soundness_checks_all_four_u_families_up_to_n4():
