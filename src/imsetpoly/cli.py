@@ -108,23 +108,16 @@ def _emit(text: str, out: str | None) -> None:
         _write_text(text, out)
 
 
-def _largest_int(obj) -> int:
-    """The largest magnitude of an int in a JSON payload, 0 if it holds none."""
-    if isinstance(obj, dict):
-        obj = list(obj.values())
-    if isinstance(obj, (list, tuple)):
-        return max(map(_largest_int, obj), default=0)
-    return abs(obj) if isinstance(obj, int) else 0
-
-
 def _emit_json(obj, out: str | None) -> None:
-    limit = _max_digits()
-    if limit and _largest_int(obj) >= 10**limit:
+    try:
+        text = _json_text(obj)
+    except ValueError:
+        # the interpreter refuses to write an int past its digit limit
         raise ValueError(
-            f"the output holds an integer of more than {limit} digits, "
+            f"the output holds an integer of more than {_max_digits()} digits, "
             "past the interpreter's limit for writing an int"
-        )
-    _emit(_json_text(obj), out)
+        ) from None
+    _emit(text, out)
 
 
 def _report_exit(report, out: str | None) -> int:
@@ -312,24 +305,25 @@ def _cmd_decompose(args) -> int:
         return 1
     reconstructed = [Fraction(0)] * (1 << y.ground.n)
     terms = []
-    limit = _max_digits()
     for antichain, weight in conic_decompose(y):
-        if limit and max(abs(weight.numerator), weight.denominator) >= 10**limit:
+        try:
+            text = str(weight)
+        except ValueError:
             raise ValueError(
-                f"the weight of class {antichain.tag()} has more than {limit} digits, "
+                f"the weight of class {antichain.tag()} has more than {_max_digits()} digits, "
                 "past the interpreter's limit for writing an int"
-            )
+            ) from None
         for t, v in enumerate(y_of_class(antichain).values):
             reconstructed[t] += weight * v
-        terms.append({"class": antichain.tag(), "weight": str(weight)})
+        terms.append({"class": antichain.tag(), "weight": text})
     exact = tuple(reconstructed) == tuple(y.values)
     _emit_json({"in_cone": True, "terms": terms, "reconstruction_exact": exact}, args.out)
     return 0 if exact else 1
 
 
 def _cmd_rays(args) -> int:
-    source = "builtin" if args.method == "builtin" else "computed"
-    rays = supermodular_rays(_ground(args), source)
+    # no --method: the default source per n; dd names the computed rays
+    rays = supermodular_rays(_ground(args), {"dd": "computed"}.get(args.method, args.method))
     _emit_json([ray.to_json_dict() for ray in rays], args.out)
     return 0
 
@@ -436,7 +430,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rays", help="list extreme supermodular rays")
     add_n(p)
-    p.add_argument("--method", choices=("builtin", "dd"), default="builtin")
+    p.add_argument(
+        "--method", choices=("builtin", "dd"), help="default: builtin at n = 3, dd otherwise"
+    )
     add_out(p)
     p.set_defaults(func=_cmd_rays)
 

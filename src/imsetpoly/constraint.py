@@ -619,13 +619,17 @@ def _builtin_rays_n3(ground: GroundSet) -> list[SupermodularFunction]:
     return rays
 
 
-def supermodular_rays(ground: GroundSet, source: str = "builtin") -> list[SupermodularFunction]:
+def supermodular_rays(ground: GroundSet, source: str | None = None) -> list[SupermodularFunction]:
     """Extreme rays of the cone of standardized supermodular functions,
     normalized to coprime integers.
 
     source is 'builtin' (n=3 only) or 'computed' (exact double description,
     n <= 4; at n = 5 it had done 38 of 54 insertions after 196 s on 2 vCPUs).
+    None, the one source of the nonspecific rows, takes the builtin rays at
+    n = 3 and the computed ones otherwise.
     """
+    if source is None:
+        source = "builtin" if ground.n == 3 else "computed"
     if source == "builtin":
         if ground.n != 3:
             raise ValueError("builtin rays are available for n = 3 only")
@@ -771,15 +775,8 @@ def conic_decompose(y: DualVector) -> list[tuple[Antichain, Fraction]]:
 # system assembly over a whole framework
 
 
-def _nonspecific_rays(ground: GroundSet) -> list[SupermodularFunction]:
-    """The one source of nonspecific rays: the builtin rays at n = 3 and the
-    computed rays at n = 2 and 4.  Larger n is refused (117 978 rays at
-    n = 5)."""
-    return supermodular_rays(ground, "builtin" if ground.n == 3 else "computed")
-
-
 def _nonspecific_rows(ground: GroundSet) -> tuple[LinearConstraint, ...]:
-    return nonspecific_constraints(ground, _nonspecific_rays(ground)).rows
+    return nonspecific_constraints(ground, supermodular_rays(ground)).rows
 
 
 def _nonspecific_rows_c(ground: GroundSet) -> Iterator[LinearConstraint]:
@@ -788,7 +785,7 @@ def _nonspecific_rows_c(ground: GroundSet) -> Iterator[LinearConstraint]:
     ray m, pairing(m, u) >= 0 reads  sum of -b(S) c(S) >= -sum of b(S),  S
     ranging over those subsets.  One 2^n butterfly per ray."""
     masks = p2_masks(ground)
-    for k, ray in enumerate(_nonspecific_rays(ground)):
+    for k, ray in enumerate(supermodular_rays(ground)):
         b = superset_moebius([int(v) for v in ray.values[::-1]], ground.n)[::-1]
         coeffs = {m: -b[m] for m in masks}
         yield LinearConstraint("c", coeffs, ">=", sum(coeffs.values()), f"nonspecific:{k}")

@@ -5,10 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from math import comb
 from operator import getitem
 from typing import Iterator, Sequence
 
-from .setfam import GroundSet, _ground_from_labels, _submasks, bits_of, p2_index
+from .setfam import GroundSet, _ground_from_labels, _submasks, bits_of, p2_index, superset_zeta
 
 
 @dataclass(frozen=True)
@@ -138,6 +139,17 @@ def enumerate_dags(ground: GroundSet) -> Iterator[DirectedGraph]:
     yield from rec(0, (), [], 0)
 
 
+def _dag_count(n: int) -> int:
+    """The number of acyclic digraphs on n labelled nodes (OEIS A003024), by
+    Robinson's recurrence over set sizes, inclusion and exclusion over k >= 1
+    sinks: a(m) = sum over k = 1..m of (-1)^(k+1) C(m, k) 2^(k(m-k)) a(m-k)."""
+    a = [1]
+    for m in range(1, n + 1):
+        a.append(sum((-1) ** (k + 1) * comb(m, k) * 2 ** (k * (m - k)) * a[m - k]
+                     for k in range(1, m + 1)))
+    return a[n]
+
+
 @lru_cache(maxsize=None)
 def _super_terminal_table(ground: GroundSet) -> tuple[tuple[int, ...], ...]:
     # table[i][p]: one byte lane per subset with >= 2 members, the first in
@@ -146,17 +158,14 @@ def _super_terminal_table(ground: GroundSet) -> tuple[tuple[int, ...], ...]:
     # carry, and packed sums compare like the tuples of their lanes.
     # Read off one subset-sum transform: z[x] holds the lanes of every subset
     # of x with >= 2 members, and those of p + i that hold i are the {i} + T.
+    # Subset sums are superset sums over complements: the lanes reversed.
     index = p2_index(ground)
     top = len(index) - 1
     size = 1 << ground.n
     z = [0] * size
     for m, k in index.items():
         z[m] = 1 << 8 * (top - k)
-    for i in range(ground.n):
-        bit = 1 << i
-        for x in range(size):
-            if x & bit:
-                z[x] += z[x ^ bit]
+    z = superset_zeta(z[::-1], ground.n)[::-1]
     return tuple(
         tuple(z[p | 1 << i] - z[p & ~(1 << i)] for p in range(size)) for i in range(ground.n)
     )

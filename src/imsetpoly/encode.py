@@ -15,7 +15,6 @@ eta entries sum to one per variable (every graph code does).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .digraph import DirectedGraph, is_acyclic, super_terminal_counts
 from .setfam import (
@@ -29,37 +28,9 @@ from .setfam import (
     p2_index,
     p2_masks,
     pair_index,
+    superset_moebius,
+    superset_zeta,
 )
-
-
-@lru_cache(maxsize=None)
-def _butterfly_pairs(n: int) -> tuple[tuple[int, int], ...]:
-    """(S, S+b) for every variable b and every S without it, pass by pass."""
-    return tuple(
-        (s, s | 1 << b) for b in range(n) for s in range(1 << n) if not s >> b & 1
-    )
-
-
-def _superset_butterfly(values: list, n: int, sign: int) -> list:
-    # one pass per variable adds sign times the entry of S+b into S
-    v = list(values)
-    if sign > 0:
-        for s, t in _butterfly_pairs(n):
-            v[s] += v[t]
-    else:
-        for s, t in _butterfly_pairs(n):
-            v[s] -= v[t]
-    return v
-
-
-def superset_zeta(values: list, n: int) -> list:
-    """p[S] = sum of values[T] over T containing S (butterfly on a copy)."""
-    return _superset_butterfly(values, n, 1)
-
-
-def superset_moebius(values: list, n: int) -> list:
-    """Inverse of superset_zeta: alternating sum over supersets."""
-    return _superset_butterfly(values, n, -1)
 
 
 @dataclass(frozen=True)

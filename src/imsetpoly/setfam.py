@@ -358,11 +358,40 @@ def _submasks(mask: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
+def _butterfly_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """(S, S+b) for every variable b and every S without it, pass by pass."""
+    return tuple(
+        (s, s | 1 << b) for b in range(n) for s in range(1 << n) if not s >> b & 1
+    )
+
+
+def _superset_butterfly(values: list, n: int, sign: int) -> list:
+    # one pass per variable adds sign times the entry of S+b into S
+    v = list(values)
+    if sign > 0:
+        for s, t in _butterfly_pairs(n):
+            v[s] += v[t]
+    else:
+        for s, t in _butterfly_pairs(n):
+            v[s] -= v[t]
+    return v
+
+
+def superset_zeta(values: list, n: int) -> list:
+    """p[S] = sum of values[T] over T containing S (butterfly on a copy)."""
+    return _superset_butterfly(values, n, 1)
+
+
+def superset_moebius(values: list, n: int) -> list:
+    """Inverse of superset_zeta: alternating sum over supersets."""
+    return _superset_butterfly(values, n, -1)
+
+
+@lru_cache(maxsize=None)
 def _superset_bits(n: int) -> tuple[int, ...]:
     """up[m]: the supersets of m as a 2**n-bit int, bit t standing for
     subset t."""
-    size = 1 << n
-    return tuple(sum(1 << t for t in range(size) if t & m == m) for m in range(size))
+    return tuple(superset_zeta([1 << t for t in range(1 << n)], n))
 
 
 def _up_set(n: int, masks) -> int:

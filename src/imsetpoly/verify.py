@@ -33,6 +33,7 @@ from .constraint import (
 )
 from .digraph import (
     DirectedGraph,
+    _dag_count,
     _super_terminal_table,
     _unpack_counts,
     enumerate_digraphs,
@@ -154,8 +155,8 @@ class EnumerationBox:
 
 
 @lru_cache(maxsize=None)
-def _census_data(ground: GroundSet) -> tuple[int, frozenset[int]]:
-    """DAG count and the set of distinct packed characteristic imsets (see
+def _census_data(ground: GroundSet) -> frozenset[int]:
+    """The set of distinct packed characteristic imsets of the DAGs (see
     digraph._super_terminal_table), by one pass over the node subsets W,
     ascending, that lists no DAG.  The set is unordered: a reader that needs
     an order sorts it (packed ints sort like their tuples).
@@ -164,45 +165,28 @@ def _census_data(ground: GroundSet) -> tuple[int, frozenset[int]]:
     containing v reads table[v][pa(v)]; a sink with any parents p in W - v
     added to a DAG on W - v gives a DAG on W.  So, from Classes({}) = {0},
     Classes(W) = union over v in W of {c + table[v][p] : c in Classes(W - v),
-    p in W - v}.  A DAG G is counted once, through its largest sink v: that
-    is, when every sink u > v of G - v is a parent of v, and G's sinks are
-    then (sinks(G - v) - p) + v (Robinson's sink decomposition).
+    p in W - v}.
     """
     table = _super_terminal_table(ground)
-    full = ground.full_mask
     classes = {0: frozenset([0])}
-    # by_sinks[w][s]: the number of DAGs on w whose sinks are s
-    by_sinks = {0: {0: 1}}
-    for w in range(1, full + 1):
-        members = list(bits_of(w))
+    for w in range(1, ground.full_mask + 1):
         # one frozenset straight from the lists: a set copied into one would
         # hold both at once, the largest memory cost of the n = 6 census
         classes[w] = frozenset(
             chain.from_iterable(
                 [c + t for c in classes[w ^ 1 << v]]
-                for v in members
+                for v in bits_of(w)
                 for t in map(table[v].__getitem__, _submasks(w ^ 1 << v))
             )
         )
-        counts: dict[int, int] = {}
-        for v in members:
-            bit = 1 << v
-            rest = w ^ bit
-            for sinks, count in by_sinks[rest].items():
-                # sinks above v must be parents of v, sinks below it may
-                # stay sinks, and every other node of rest is free
-                free = count << (rest & ~sinks).bit_count()
-                for kept in _submasks(sinks & (bit - 1)):
-                    counts[kept | bit] = counts.get(kept | bit, 0) + free
-        by_sinks[w] = counts
-    return sum(by_sinks[full].values()), classes[full]
+    return classes[ground.full_mask]
 
 
 @lru_cache(maxsize=None)
 def census_characteristic_set(ground: GroundSet) -> frozenset[tuple[int, ...]]:
     """All distinct characteristic tuples of acyclic digraphs (coordinates in
     ascending order of subsets with >= 2 members)."""
-    return frozenset(_unpack_counts(ground, v) for v in _census_data(ground)[1])
+    return frozenset(_unpack_counts(ground, v) for v in _census_data(ground))
 
 
 def census_equivalence_classes(ground: GroundSet) -> VerificationReport:
@@ -215,11 +199,11 @@ def census_equivalence_classes(ground: GroundSet) -> VerificationReport:
     returns every tuple.
     """
     t0 = time.perf_counter()
-    dags, classes = _census_data(ground)
+    classes = _census_data(ground)
     report = VerificationReport(
         experiment="census",
         parameters={"n": ground.n, "labels": list(ground.labels)},
-        counts={"dags": dags, "classes": len(classes)},
+        counts={"dags": _dag_count(ground.n), "classes": len(classes)},
         witnesses=[],
         passed=True,
         payload={
@@ -518,7 +502,7 @@ def soundness_check(
     # the census bit-sliced: sliced[k] holds coordinate k (byte k of the
     # packed sum) of every structure, one w-bit lane each in sorted order,
     # which fixes the witness order and the structures checked
-    classes = sorted(_census_data(ground)[1])
+    classes = sorted(_census_data(ground))
     size = len(p2_masks(ground))
     data = b"".join([v.to_bytes(size, "big") for v in classes])
     columns = [data[k::size] for k in range(size)]
@@ -647,7 +631,7 @@ def relaxation_comparison(
         counts={
             "nonspecific_relaxation_points": len(set_a),
             "cluster_relaxation_points": len(set_b),
-            "census_classes": len(_census_data(ground)[1]),
+            "census_classes": len(_census_data(ground)),
             "leaked": len(leaked),
         },
         witnesses=witnesses,

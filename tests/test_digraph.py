@@ -7,6 +7,7 @@ import pytest
 
 from imsetpoly.digraph import (
     DirectedGraph,
+    _dag_count,
     _super_terminal_table,
     enumerate_dags,
     enumerate_digraphs,
@@ -15,7 +16,6 @@ from imsetpoly.digraph import (
     super_terminal_counts,
 )
 from imsetpoly.setfam import GroundSet, _submasks, bits_of, p2_index, p2_masks
-from imsetpoly.verify import _census_data
 
 
 def dfs_acyclic(g: DirectedGraph) -> bool:
@@ -117,13 +117,15 @@ def test_enumerate_dags_against_recurrence_oracle():
     assert oracle[3] == 25 and oracle[4] == 543 and oracle[5] == 29281
 
 
-def test_census_count_by_largest_sink():
-    # the census counts each DAG once, through its largest sink, and lists
-    # none: its count must match the recurrence and the enumeration
+def test_census_dag_count_by_recurrence():
+    # the census reads its DAG count off the recurrence over set sizes; the
+    # enumeration is the independent route, and OEIS A003024 gives n = 6
     oracle = robinson_counts(5)
     for n in (2, 3, 4, 5):
         g = GroundSet.of_size(n)
-        assert _census_data(g)[0] == oracle[n] == sum(1 for _ in enumerate_dags(g))
+        assert _dag_count(n) == oracle[n] == sum(1 for _ in enumerate_dags(g))
+    assert _dag_count(0) == _dag_count(1) == 1
+    assert _dag_count(6) == 3_781_503
 
 
 def test_enumerate_dags_yields_acyclic_only():
@@ -163,9 +165,26 @@ def test_super_terminal_counts_at_n6():
     assert super_terminal_counts(g, graphs[0]) == tuple(s.bit_count() for s in p2_masks(g))
 
 
+def in_place_subset_sums(g):
+    """table[i][p] read off z, the subset sums of the lanes of the subsets
+    with >= 2 members, built by an in-place loop with one pass per node."""
+    index = p2_index(g)
+    top = len(index) - 1
+    size = 1 << g.n
+    z = [0] * size
+    for m, k in index.items():
+        z[m] = 1 << 8 * (top - k)
+    for i in range(g.n):
+        bit = 1 << i
+        for x in range(size):
+            if x & bit:
+                z[x] += z[x ^ bit]
+    return tuple(tuple(z[p | 1 << i] - z[p & ~(1 << i)] for p in range(size)) for i in range(g.n))
+
+
 def test_super_terminal_table_against_the_submask_sums():
-    # oracle: table[i][p] as one sum per (i, p) over the non-empty submasks
-    # T of p - i, of the lane of {i} + T
+    # oracles: table[i][p] as one sum per (i, p) over the non-empty submasks
+    # T of p - i, of the lane of {i} + T; and the in-place subset sums
     for n in range(2, 7):
         g = GroundSet.of_size(n)
         index = p2_index(g)
@@ -177,7 +196,7 @@ def test_super_terminal_table_against_the_submask_sums():
             )
             for i in range(n)
         )
-        assert _super_terminal_table(g) == oracle
+        assert _super_terminal_table(g) == oracle == in_place_subset_sums(g)
 
 
 def test_acyclic_super_terminal_at_most_one():

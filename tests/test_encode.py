@@ -27,6 +27,7 @@ from imsetpoly.encode import (
     u_from_characteristic,
     u_from_eta,
 )
+from imsetpoly import setfam
 from imsetpoly.setfam import GroundSet, eta_pairs, p2_masks
 
 
@@ -62,6 +63,12 @@ def test_zeta_moebius_inverse():
             v = [rng.randint(-5, 5) for _ in range(1 << n)]
             assert superset_moebius(superset_zeta(list(v), n), n) == v
             assert superset_zeta(superset_moebius(list(v), n), n) == v
+
+
+def test_the_transforms_are_setfams():
+    # one butterfly in the package: encode reads the transforms back from setfam
+    assert superset_zeta is setfam.superset_zeta
+    assert superset_moebius is setfam.superset_moebius
 
 
 # class, the noun of its length error, its length at n = 3, its entry type

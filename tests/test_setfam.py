@@ -11,6 +11,7 @@ from imsetpoly.setfam import (
     GroundSet,
     SetClass,
     _submasks,
+    _superset_bits,
     _up_set,
     bits_of,
     enumerate_antichains,
@@ -231,6 +232,14 @@ def test_minimal_sets_inverts_closure():
 def test_submasks_match_the_filter():
     for m in range(1 << 6):
         assert _submasks(m) == [s for s in range(m + 1) if s & m == s]
+
+
+def test_superset_bits_match_the_any_scan():
+    # oracle: one scan over all subsets per mask, O(4^n)
+    for n in range(2, 7):
+        size = 1 << n
+        oracle = tuple(sum(1 << t for t in range(size) if t & m == m) for m in range(size))
+        assert _superset_bits(n) == oracle
 
 
 def any_scan_up_set(n, masks):
