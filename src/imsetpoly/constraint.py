@@ -11,8 +11,10 @@ import json
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from json.encoder import encode_basestring as _quote
 from math import gcd
+from string import ascii_letters, digits
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .encode import _Vector, semi_elementary_imset, superset_moebius
@@ -21,6 +23,7 @@ from .setfam import (
     Antichain,
     GroundSet,
     SetClass,
+    _antichain_walk,
     _ground_from_labels,
     _keyed_entries,
     _rational_entries,
@@ -35,11 +38,13 @@ from .setfam import (
     superset_closure,
     tag_key_table,
     union_closure_class,
-    walk_antichains,
 )
 
 # a row with sense s holds when SENSES[s](lhs, rhs)
 SENSES = {">=": operator.ge, "<=": operator.le, "=": operator.eq}
+
+# the characters of an LP-format (CPLEX) name
+_LP_NAME_CHARS = frozenset(ascii_letters + digits + "!\"#$%&()/,.;?@_`'{}|~")
 
 
 def _exact(value) -> int | Fraction:
@@ -148,33 +153,29 @@ class ConstraintSystem:
 
     def to_json_text(self) -> str:
         """The catalog as setfam._json_text prints it (sorted keys, indent 1,
-        non-ASCII kept), written straight from the rows: each coefficient
-        key and each (key, value) line is rendered once per system, and a
-        row's keys are sorted by their raw strings, as sort_keys does."""
-        ground = self.ground
-        if self.framework == "eta":
-            name = _Rendered(lambda key: ground.pair_key(*key))
-        else:
-            name = _Rendered(ground.subset_key)
-        cell = _Rendered(lambda item: f'    {_quote(name[item[0]])}: "{item[1]}"')
+        non-ASCII kept), written straight from the rows.  The system's
+        distinct keys are rendered (subset_key or pair_key, which refuse a
+        key outside the universe) and ranked by their raw strings once, as
+        sort_keys orders them; each key keeps one table of its lines, by
+        value, each line rendered on its first use."""
+        names = {key: self._key_name(key) for key in {k for row in self.rows for k in row.coeffs}}
+        # a dict, not a list by mask: a list would read mask -1 as its last entry
+        rank = {key: r for r, key in enumerate(sorted(names, key=names.__getitem__))}
+        cells = {
+            key: _Rendered(lambda value, quoted=_quote(name): f'    {quoted}: "{value}"')
+            for key, name in names.items()
+        }
         rows = []
         for row in self.rows:
             coeffs = row.coeffs
-            body = ",\n".join(
-                [cell[k, coeffs[k]] for k in sorted(coeffs, key=name.__getitem__)]
-            )
+            keys = sorted(coeffs, key=rank.__getitem__)
+            body = ",\n".join([cells[k][coeffs[k]] for k in keys])
+            coeffs_text = f"{{\n{body}\n   }}" if body else "{}"
             rows.append(
-                '  {\n   "coeffs": '
-                + ("{\n" + body + "\n   }" if body else "{}")
-                + ',\n   "rhs": "'
-                + str(row.rhs)
-                + '",\n   "sense": '
-                + _quote(row.sense)
-                + ',\n   "tag": '
-                + _quote(row.tag)
-                + "\n  }"
+                f'  {{\n   "coeffs": {coeffs_text},\n   "rhs": "{row.rhs}",\n'
+                f'   "sense": {_quote(row.sense)},\n   "tag": {_quote(row.tag)}\n  }}'
             )
-        labels = ",\n".join(["  " + _quote(x) for x in ground.labels])
+        labels = ",\n".join(["  " + _quote(x) for x in self.ground.labels])
         return (
             f'{{\n "framework": {_quote(self.framework)},\n "labels": [\n{labels}\n ],\n'
             + (' "rows": [\n' + ",\n".join(rows) + "\n ]" if rows else ' "rows": []')
@@ -185,6 +186,12 @@ class ConstraintSystem:
         """The catalog as a JSON object, read back from to_json_text."""
         return json.loads(self.to_json_text())
 
+    def _key_name(self, key) -> str:
+        """The key as the JSON catalog names it (pair_key or subset_key)."""
+        if self.framework == "eta":
+            return self.ground.pair_key(*key)
+        return self.ground.subset_key(key)
+
     def _variable_name(self, key) -> str:
         if self.framework == "eta":
             i, b = key
@@ -192,21 +199,26 @@ class ConstraintSystem:
         return f"{self.framework}_{_lp_set(self.ground, key)}"
 
     def to_lp(self) -> str:
-        """LP-format text export; every variable is declared free."""
+        """LP-format text export; every variable is declared free.
+
+        A row is named after its tag, each character other than a letter or
+        digit read as '_'; a name already taken gets the next free suffix
+        _1, _2, ...  A system whose distinct coordinates do not get distinct
+        variable names made of _LP_NAME_CHARS alone is refused."""
         lines = [f"\\ constraint system export (framework {self.framework})"]
         lines.append("Minimize")
         lines.append(" obj: 0")
         lines.append("Subject To")
-        seen_names: dict[str, int] = {}
+        taken: set[str] = set()
+        suffixes: dict[str, int] = {}
         # variable names in order of first use
         var = _Rendered(self._variable_name)
         for row in self.rows:
-            name = "".join(ch if ch.isalnum() else "_" for ch in row.tag)
-            if name in seen_names:
-                seen_names[name] += 1
-                name = f"{name}_{seen_names[name]}"
-            else:
-                seen_names[name] = 0
+            base = name = "".join(ch if ch.isalnum() else "_" for ch in row.tag)
+            while name in taken:
+                suffixes[base] = suffixes.get(base, 0) + 1
+                name = f"{base}_{suffixes[base]}"
+            taken.add(name)
             if row.is_vacuous:
                 lines.append(f"\\ vacuous row {name}: 0 {row.sense} {row.rhs}")
                 continue
@@ -220,8 +232,18 @@ class ConstraintSystem:
             body = " ".join(terms).lstrip("+ ")
             lines.append(f" {name}: {body} {row.sense} {row.rhs}")
         lines.append("Bounds")
-        # distinct keys may share a name (labels "ab", "c" and "a", "bc")
-        for variable in dict.fromkeys(var.values()):
+        owners: dict[str, object] = {}
+        for key, variable in var.items():
+            if not _LP_NAME_CHARS.issuperset(variable):
+                raise ValueError(
+                    f"LP variable name {variable!r} holds a character LP names may not hold"
+                )
+            if variable in owners:
+                raise ValueError(
+                    f"coordinates {self._key_name(owners[variable])!r} and "
+                    f"{self._key_name(key)!r} share the LP variable name {variable!r}"
+                )
+            owners[variable] = key
             lines.append(f" {variable} free")
         lines.append("End")
         return "\n".join(lines) + "\n"
@@ -279,15 +301,14 @@ def _eta_cluster_rows(ground: GroundSet) -> Iterator[LinearConstraint]:
 def u_equality_system(ground: GroundSet) -> ConstraintSystem:
     """The standardization equalities: total sum zero, and per variable the
     sum over sets containing it zero."""
-    rows = [
-        LinearConstraint(
-            "u", {t: 1 for t in range(1 << ground.n)}, "=", 0, "equality:total"
-        )
-    ]
+    return ConstraintSystem(ground, "u", tuple(_u_equality_rows(ground)))
+
+
+def _u_equality_rows(ground: GroundSet) -> Iterator[LinearConstraint]:
+    yield LinearConstraint("u", {t: 1 for t in range(1 << ground.n)}, "=", 0, "equality:total")
     for j in range(ground.n):
         coeffs = {t: 1 for t in range(1 << ground.n) if (t >> j) & 1}
-        rows.append(LinearConstraint("u", coeffs, "=", 0, f"equality:{ground.labels[j]}"))
-    return ConstraintSystem(ground, "u", tuple(rows))
+        yield LinearConstraint("u", coeffs, "=", 0, f"equality:{ground.labels[j]}")
 
 
 def specific_constraint(antichain: Antichain) -> LinearConstraint:
@@ -370,48 +391,59 @@ def specific_rows(ground: GroundSet, family: str, walk=None) -> Iterator[LinearC
     the walk too: the closure of A + m also loses the sets containing both m
     and a member of A, so
         mu_{A+m} = mu_A + delta_m - shift_m(mu_A),
-    shift_m sending delta_X to delta_{X | m}.  A per-depth stack keeps the
-    entries and tag of each prefix, so a row costs its parent's support; an
-    item whose prefix is not on the stack (a walk out of depth-first order)
-    is rebuilt from its sets.  mu_A is 1 on each singleton member of A, and
-    those entries move to the right-hand side.  Rows equal
+    shift_m sending delta_X to delta_{X | m}.  Each row's entries, singleton
+    members and tag ride down the antichain recursion (setfam._antichain_walk)
+    as its state, so a row costs its parent's support; a given walk is
+    folded item by item from each item's own sets.  The singleton entries
+    of mu_A are exactly A's singleton members, each 1 (no later step reaches
+    a one-bit key), and they move to the right-hand side.  Rows equal
     specific_constraint and char_specific_constraint; a u row's coeffs are
     in growth order.  Every entry is already a nonzero int, so the rows skip
     the constructor's checks (LinearConstraint._canonical); each row gets
-    its own copy of the stack's entries, so changing one row's coeffs
+    its own copy of the carried entries, so changing one row's coeffs
     cannot change the rows derived after it.
+
+    Unknown families and, for the whole walk, n >= 6 are refused on the
+    call, before any row is built.
     """
+    tags = tag_key_table(ground)
     if family == "specific":
         up = [dict.fromkeys(bits_of(b), 1) for b in _superset_bits(ground.n)]
 
-        def grow(entries, m):
-            return entries | up[m]
+        def grow(state, m):
+            entries, tag = state
+            return entries | up[m], f"{tag},{tags[m]}" if entries else tag + tags[m]
 
+        def rows(states):
+            for (entries, tag), _ in states:
+                yield LinearConstraint._canonical("u", entries.copy(), "<=", 1, tag)
+
+        root = ({}, "specific:")
     elif family == "kappa-specific":
-        grow = _grow_measure
+
+        def grow(state, m):
+            mu, singles, tag = state
+            if not m & (m - 1):
+                singles += (m,)
+            return (
+                _grow_measure(mu, m),
+                singles,
+                f"{tag},{tags[m]}" if mu else tag + tags[m],
+            )
+
+        def rows(states):
+            for (mu, singles, tag), _ in states:
+                coeffs = mu.copy()
+                for s in singles:
+                    del coeffs[s]
+                yield LinearConstraint._canonical("c", coeffs, ">=", -len(singles), tag)
+
+        root = ({}, (), "kappa-specific:")
     else:
         raise ValueError(f"unknown specific family {family!r}")
-    tags = tag_key_table(ground)
-    # stack[d]: the first d sets of the last item, their entries and tag
-    stack: list[tuple[tuple[int, ...], dict[int, int], str]] = [((), {}, f"{family}:")]
-    for sets, _ in walk_antichains(ground) if walk is None else walk:
-        depth = min(len(sets) - 1, len(stack) - 1)
-        while stack[depth][0] != sets[:depth]:
-            depth -= 1
-        del stack[depth + 1 :]
-        for m in sets[depth:]:
-            prefix, entries, tag = stack[-1]
-            tag = (tag + "," if prefix else tag) + tags[m]
-            stack.append((prefix + (m,), grow(entries, m), tag))
-        _, entries, tag = stack[-1]
-        if family == "specific":
-            yield LinearConstraint._canonical("u", entries.copy(), "<=", 1, tag)
-            continue
-        coeffs = entries.copy()
-        for s in sets:
-            if not s & (s - 1):
-                del coeffs[s]
-        yield LinearConstraint._canonical("c", coeffs, ">=", len(coeffs) - len(entries), tag)
+    if walk is None:
+        return rows(_antichain_walk(ground, root, grow))
+    return rows((reduce(grow, sets, root), closure) for sets, closure in walk)
 
 
 def _grow_measure(mu: dict[int, int], m: int) -> dict[int, int]:
@@ -531,12 +563,14 @@ def nonspecific_constraints(
     ground: GroundSet, rays: Sequence[SupermodularFunction]
 ) -> ConstraintSystem:
     """One row per extreme ray: the pairing with u is nonnegative."""
-    rows = []
+    return ConstraintSystem(ground, "u", tuple(_ray_rows(ground, rays)))
+
+
+def _ray_rows(ground: GroundSet, rays) -> Iterator[LinearConstraint]:
     for k, ray in enumerate(rays):
         if ray.ground != ground:
             raise ValueError("ray ground set does not match")
-        rows.append(_pairing_row(ray, f"nonspecific:{k}"))
-    return ConstraintSystem(ground, "u", tuple(rows))
+        yield _pairing_row(ray, f"nonspecific:{k}")
 
 
 def _primitive(ints: Sequence[int]) -> tuple[int, ...]:
@@ -775,24 +809,32 @@ def conic_decompose(y: DualVector) -> list[tuple[Antichain, Fraction]]:
 # system assembly over a whole framework
 
 
-def _nonspecific_rows(ground: GroundSet) -> tuple[LinearConstraint, ...]:
-    return nonspecific_constraints(ground, supermodular_rays(ground)).rows
+def _nonspecific_rows(ground: GroundSet) -> Iterator[LinearConstraint]:
+    # the rays are computed, or refused, on the call
+    return _ray_rows(ground, supermodular_rays(ground))
 
 
 def _nonspecific_rows_c(ground: GroundSet) -> Iterator[LinearConstraint]:
     """The nonspecific rows pulled back through u = Moebius(1 - c on the
     subsets with >= 2 members): with b the subset-Moebius transform of a
     ray m, pairing(m, u) >= 0 reads  sum of -b(S) c(S) >= -sum of b(S),  S
-    ranging over those subsets.  One 2^n butterfly per ray."""
+    ranging over those subsets.  One 2^n butterfly per ray; the rays are
+    computed, or refused, on the call."""
+    return _pulled_back_ray_rows(ground, supermodular_rays(ground))
+
+
+def _pulled_back_ray_rows(ground: GroundSet, rays) -> Iterator[LinearConstraint]:
     masks = p2_masks(ground)
-    for k, ray in enumerate(supermodular_rays(ground)):
+    for k, ray in enumerate(rays):
         b = superset_moebius([int(v) for v in ray.values[::-1]], ground.n)[::-1]
         coeffs = {m: -b[m] for m in masks}
         yield LinearConstraint("c", coeffs, ">=", sum(coeffs.values()), f"nonspecific:{k}")
 
 
 # each framework's families in canonical order, each with the function that
-# builds its rows over a ground set
+# builds its rows over a ground set.  A builder raises its family's refusal
+# on the call and builds its rows only as they are read, so a system is
+# refused before any of its rows is built (assemble_system)
 _FAMILY_ROWS: dict[str, dict[str, Callable[[GroundSet], Iterable[LinearConstraint]]]] = {
     "eta": {
         "nonneg": _eta_nonneg_rows,
@@ -800,7 +842,7 @@ _FAMILY_ROWS: dict[str, dict[str, Callable[[GroundSet], Iterable[LinearConstrain
         "cluster": _eta_cluster_rows,
     },
     "u": {
-        "equality": lambda ground: u_equality_system(ground).rows,
+        "equality": _u_equality_rows,
         "specific": lambda ground: specific_rows(ground, "specific"),
         "nonspecific": _nonspecific_rows,
         "cluster-u": lambda ground: (cluster_constraint_u(ground, c) for c in p2_masks(ground)),
@@ -818,10 +860,11 @@ ETA_FAMILIES, U_FAMILIES, C_FAMILIES = (tuple(_FAMILY_ROWS[f]) for f in ("eta", 
 # standardization equalities read 0 = 0 there, a specific row pulls back to
 # its antichain's kappa-specific row, a cluster-u row to its set's cluster-c
 # row, and a nonspecific row to its ray's transform.  The rows carry the
-# twin's tags; only the family names differ.
+# twin's tags; only the family names differ.  Like the builders above, a
+# twin raises its refusal on the call and builds its rows as they are read.
 _C_TWINS: dict[str, Callable[[GroundSet, Sequence | None], Iterable[LinearConstraint]]] = {
     "equality": lambda ground, walk: (
-        LinearConstraint("c", {}, "=", 0, row.tag) for row in u_equality_system(ground)
+        LinearConstraint("c", {}, "=", 0, row.tag) for row in _u_equality_rows(ground)
     ),
     "specific": lambda ground, walk: specific_rows(ground, "kappa-specific", walk),
     "nonspecific": lambda ground, walk: _nonspecific_rows_c(ground),
@@ -833,7 +876,7 @@ def _family_builders(framework: str, families: Sequence[str]):
     """Each requested family of a framework with the function that builds its
     rows, in the order given.  A family listed twice, whose rows would all
     appear twice, is refused first, then an unknown framework, then an
-    unknown family when it is reached."""
+    unknown family when it is reached, before its builder is called."""
     for k, family in enumerate(families):
         if family in families[:k]:
             raise ValueError(f"constraint family {family!r} is listed twice")
@@ -852,12 +895,11 @@ def assemble_system(
     families: Sequence[str],
 ) -> ConstraintSystem:
     """Build the requested constraint families of a framework, in the order
-    given, with the refusals of _family_builders.
+    given, with the refusals of _family_builders; every family's refusal
+    is raised before any row is built.
     """
-    rows: list[LinearConstraint] = []
-    for _family, build in _family_builders(framework, families):
-        rows.extend(build(ground))
-    return ConstraintSystem(ground, framework, tuple(rows))
+    parts = [build(ground) for _family, build in _family_builders(framework, families)]
+    return ConstraintSystem(ground, framework, tuple(row for part in parts for row in part))
 
 
 def eta_system(ground: GroundSet, families: Sequence[str] = ETA_FAMILIES) -> ConstraintSystem:

@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
+from typing import Callable, Iterator
 
 MAX_GROUND = 6
 
@@ -404,32 +404,46 @@ def _up_set(n: int, masks) -> int:
     return closure
 
 
-def walk_antichains(ground: GroundSet) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Stream every non-empty antichain of non-empty subsets as (sets,
-    closure): its members ascending, and its superset closure as a 2**n-bit
-    int with bit t set when subset t contains a member.
+def _antichain_walk(ground: GroundSet, root, grow: Callable) -> Iterator[tuple[object, int]]:
+    """The package's one antichain recursion: every non-empty antichain of
+    non-empty subsets as (state, closure), state folded down the walk from
+    root by grow(parent state, added set), closure the superset closure as
+    a 2**n-bit int with bit t set when subset t contains a member.
 
     Backtracking over non-empty subsets in ascending mask order; a partial
     choice is extended only with later sets outside the closure of its
     members (a later mask is never a subset of an earlier one), so each
-    antichain appears exactly once.  Refuses n >= 6 (7.8 M antichains).
+    antichain appears exactly once.  n >= 6 (7.8 M antichains) is refused
+    on the call, before any state is grown.
     """
     if ground.n >= 6:
         raise ValueError("antichain enumeration is limited to n <= 5")
     up = _superset_bits(ground.n)
 
-    def extend(chosen, free, closure):
+    def extend(state, free, closure):
         # free: the later sets comparable to no chosen member, as a bitset
         while free:
             low = free & -free
             free ^= low
             cand = low.bit_length() - 1
-            sets = chosen + (cand,)
+            child = grow(state, cand)
             grown = closure | up[cand]
-            yield sets, grown
-            yield from extend(sets, free & ~grown, grown)
+            yield child, grown
+            yield from extend(child, free & ~grown, grown)
 
-    yield from extend((), (1 << (1 << ground.n)) - 2, 0)
+    return extend(root, (1 << (1 << ground.n)) - 2, 0)
+
+
+def _add_member(sets: tuple[int, ...], m: int) -> tuple[int, ...]:
+    return sets + (m,)
+
+
+def walk_antichains(ground: GroundSet) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Stream every non-empty antichain of non-empty subsets as (sets,
+    closure): its members ascending, and its superset closure as a 2**n-bit
+    int with bit t set when subset t contains a member (_antichain_walk,
+    whose order this is).  Refuses n >= 6."""
+    return _antichain_walk(ground, (), _add_member)
 
 
 def enumerate_antichains(ground: GroundSet) -> Iterator[Antichain]:

@@ -258,12 +258,17 @@ def _family_lanes(ground: GroundSet, framework: str, families, walk=None):
     A 'u' family takes the rows of its c twin (constraint._C_TWINS), which
     are its own rows pulled back, and a 'c' family its own rows; either way
     each tag is given the family's name.  walk picks the antichains of the
-    specific rows, as for specific_rows.
+    specific rows, as for specific_rows.  Every family's refusal is raised
+    before any row is built.
     """
+    parts = [
+        (family, _C_TWINS[family](ground, walk) if framework == "u" else build(ground))
+        for family, build in _family_builders(framework, families)
+    ]
     lanes = []
     sizes = {}
-    for family, build in _family_builders(framework, families):
-        rows = tuple(_C_TWINS[family](ground, walk) if framework == "u" else build(ground))
+    for family, part in parts:
+        rows = tuple(part)
         lanes += [
             (a, r, f"{family}:{tag.partition(':')[2]}")
             for a, r, tag in _compile_rows(ConstraintSystem(ground, "c", rows))
@@ -484,9 +489,10 @@ def soundness_check(
     The rows are, in this order, the equality rows, the specific rows of
     walk, the cluster-u rows and, at n <= 4, the nonspecific rows, read in
     characteristic coordinates (_family_lanes).  walk is the whole antichain
-    walk by default (7 579 antichains at n = 5); given an int
-    specific_sample smaller than the walk at n = 5, it is a sample of that
-    many of its antichains, drawn with seed.
+    walk by default (7 579 antichains at n = 5), whose rows are built down
+    the recursion itself; given an int specific_sample smaller than the walk
+    at n = 5, it is a sample of that many of its antichains, drawn with
+    seed, each row folded from its antichain's own sets.
     The "rays" parameter counts the nonspecific rows; at n = 5 that family
     is refused, and "rays" is null.  The census is bit-sliced, one int per
     coordinate with one lane per structure, so each row is evaluated once
@@ -494,9 +500,12 @@ def soundness_check(
     violated row in the order above.
     """
     t0 = time.perf_counter()
-    antichains = list(walk_antichains(ground))
-    sampled = specific_sample is not None and len(antichains) > specific_sample and ground.n >= 5
-    walk = random.Random(seed).sample(antichains, specific_sample) if sampled else antichains
+    # walk None: every specific row, built down the antichain recursion
+    walk = None
+    if specific_sample is not None and ground.n >= 5:
+        antichains = list(walk_antichains(ground))
+        if len(antichains) > specific_sample:
+            walk = random.Random(seed).sample(antichains, specific_sample)
     families = ("equality", "specific", "cluster-u") + (("nonspecific",) if ground.n <= 4 else ())
     lanes, sizes = _family_lanes(ground, "u", families, walk)
     # the census bit-sliced: sliced[k] holds coordinate k (byte k of the
@@ -545,8 +554,8 @@ def soundness_check(
         parameters={
             "n": ground.n,
             "labels": list(ground.labels),
-            "specific_rows": "sampled" if sampled else "all",
-            "specific_sample": specific_sample if sampled else len(antichains),
+            "specific_rows": "all" if walk is None else "sampled",
+            "specific_sample": sizes["specific"],
             "seed": seed,
             "rays": sizes.get("nonspecific"),
         },

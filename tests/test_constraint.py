@@ -46,6 +46,7 @@ from imsetpoly.encode import (
 from imsetpoly.setfam import (
     Antichain,
     GroundSet,
+    _json_text,
     enumerate_antichains,
     eta_pairs,
     p1_masks,
@@ -134,6 +135,76 @@ def test_system_json_refuses_an_out_of_range_mask():
         for export in (system.to_json_text, system.to_json_dict, system.to_lp):
             with pytest.raises(ValueError, match=rf"^mask {mask} outside the 3-variable universe$"):
                 export()
+
+
+def test_system_json_text_matches_the_json_module():
+    # labels whose string order is not their mask order, Fraction and
+    # negative values, a non-ASCII tag, a vacuous row and a system without
+    # rows, each against the dict setfam._json_text prints
+    g = GroundSet(("b", "a", "c10", "c9"))
+
+    def subset(mask):
+        names = sorted(label for i, label in enumerate(g.labels) if mask >> i & 1)
+        return ",".join(names) if names else "∅"
+
+    def pair(key):
+        return f"{g.labels[key[0]]}|{subset(key[1])}"
+
+    cases = (
+        ("u", subset, {15: 1, 0: -2, 2: Fraction(1, 2), 1: 1, 12: Fraction(-7, 3), 3: 1}),
+        ("c", subset, {12: -1, 3: 5, 8: 2, 5: 1, 15: Fraction(3, 4), 6: 5}),
+        ("eta", pair, {(3, 6): 4, (0, 0): 1, (1, 1): -1, (2, 8): Fraction(2, 3), (0, 14): 1}),
+    )
+    for framework, name, coeffs in cases:
+        specs = [
+            (coeffs, ">=", Fraction(5, 2), "first:é"),
+            (dict(list(coeffs.items())[:3]), "<=", -1, "second"),
+            ({}, "=", 0, "vacuous"),
+        ]
+        rows = tuple(LinearConstraint(framework, *spec) for spec in specs)
+        expected = {
+            "framework": framework,
+            "labels": list(g.labels),
+            "rows": [
+                {
+                    "coeffs": {name(k): str(v) for k, v in spec[0].items()},
+                    "rhs": str(spec[2]),
+                    "sense": spec[1],
+                    "tag": spec[3],
+                }
+                for spec in specs
+            ],
+        }
+        system = ConstraintSystem(g, framework, rows)
+        assert system.to_json_text() == _json_text(expected)
+        assert system.to_json_dict() == expected
+        empty = ConstraintSystem(g, framework, ())
+        assert empty.to_json_text() == _json_text({**expected, "rows": []})
+
+
+def test_lp_row_names_skip_names_already_taken():
+    rows = tuple(LinearConstraint("u", {3: 1}, ">=", 0, tag) for tag in ("x", "x", "x_1"))
+    text = ConstraintSystem(G3, "u", rows).to_lp()
+    names = [line.split(":")[0].strip() for line in text.splitlines() if line.endswith(">= 0")]
+    assert names == ["x", "x_1", "x_1_1"]
+
+
+def test_lp_refuses_coordinates_that_share_a_variable_name():
+    # labels "ab", "c" and "a", "bc" would both name their union u_abc
+    g = GroundSet(("ab", "c", "a", "bc"))
+    row = LinearConstraint("u", {0b0011: 1, 0b1100: -1}, ">=", 0, "r")
+    with pytest.raises(
+        ValueError, match="^coordinates 'ab,c' and 'a,bc' share the LP variable name 'u_abc'$"
+    ):
+        ConstraintSystem(g, "u", (row,)).to_lp()
+
+
+def test_lp_refuses_a_variable_name_outside_the_lp_characters():
+    # a space would split the variable u_x yz into two words of the LP line
+    g = GroundSet(("x y", "z"))
+    row = LinearConstraint("u", {3: 1}, ">=", 0, "r")
+    with pytest.raises(ValueError, match="^LP variable name 'u_x yz' holds a character"):
+        ConstraintSystem(g, "u", (row,)).to_lp()
 
 
 def test_shared_fractions_keep_value_and_type():
@@ -330,15 +401,20 @@ def test_walk_rows_equal_the_per_antichain_rows():
             ("specific", specific_constraint),
             ("kappa-specific", char_specific_constraint),
         ):
-            for (sets, _), row in zip(walk, specific_rows(g, family, walk), strict=True):
-                validated = twin(Antichain(g, sets))
-                assert row == validated and hash(row) == hash(validated)
-                # the walk builds its rows clean: nonzero int entries, an int rhs
-                assert all(type(v) is int and v for v in row.coeffs.values())
-                assert type(row.rhs) is int
-                # each row owns its coefficients: emptying them as they are
-                # yielded must leave every later row of the walk intact
-                row.coeffs.clear()
+            # the rows of the recursion itself (no walk), in walk order, and
+            # the rows folded from each given item's sets
+            for rows in (specific_rows(g, family), specific_rows(g, family, walk)):
+                for (sets, _), row in zip(walk, rows, strict=True):
+                    validated = twin(Antichain(g, sets))
+                    assert row == validated and hash(row) == hash(validated)
+                    # the walk builds its rows clean: nonzero int entries, an int rhs
+                    assert all(type(v) is int and v for v in row.coeffs.values())
+                    assert type(row.rhs) is int
+                    # each row owns its coefficients, though the recursion
+                    # derives a child's entries from its parent's: emptying
+                    # them as they are yielded must leave every later row of
+                    # the walk intact
+                    row.coeffs.clear()
         for sets, closure in walk:
             antichain = Antichain(g, sets)
             # the subset-Moebius transform of the closure indicator is the
@@ -348,11 +424,10 @@ def test_walk_rows_equal_the_per_antichain_rows():
             assert {m: v for m, v in enumerate(kappa) if v} == {
                 m: v for m, v in kappa_coefficients(antichain).entries if v
             }
-    assert list(specific_rows(G3, "kappa-specific")) == [
-        char_specific_constraint(a) for a in enumerate_antichains(G3)
-    ]
     with pytest.raises(ValueError, match="unknown specific family"):
-        next(specific_rows(G3, "cluster-u"))
+        specific_rows(G3, "cluster-u")
+    with pytest.raises(ValueError, match="^antichain enumeration is limited to n <= 5$"):
+        specific_rows(GroundSet.of_size(6), "specific")
 
 
 def test_kappa_rows_from_any_walk():
@@ -801,7 +876,7 @@ def test_eta_system_refuses_a_repeated_family():
 
 
 def test_unknown_family_texts():
-    # a family is refused once the families before it are built
+    # an unknown family is refused by its name, whatever comes before it
     for framework, families in (
         ("eta", ("equality", "specific")),
         ("u", ("equality", "nonneg")),
@@ -813,6 +888,34 @@ def test_unknown_family_texts():
             assemble_system(G3, framework, families)
     with pytest.raises(ValueError, match="^unknown eta constraint family 'oddball'$"):
         eta_system(G3, ("oddball",))
+
+
+def test_every_refusal_comes_before_any_specific_row(monkeypatch, capsys):
+    # the nonspecific rows at n = 5, an unknown family and n = 6 are each
+    # refused before a single specific row is built, whatever the order of
+    # the families
+    from imsetpoly import verify
+    from imsetpoly.cli import main
+
+    def built(cls, *args):
+        raise AssertionError("a specific row was built before the refusal")
+
+    monkeypatch.setattr(LinearConstraint, "_canonical", classmethod(built))
+    g5, g6 = GroundSet.of_size(5), GroundSet.of_size(6)
+    rays = "^computed rays are limited to n <= 4$"
+    for build in (assemble_system, lambda *args: verify._family_lanes(*args)):
+        with pytest.raises(ValueError, match=rays):
+            build(g5, "u", ("equality", "specific", "nonspecific", "cluster-u"))
+        with pytest.raises(ValueError, match=rays):
+            build(g5, "u", ("cluster-u", "specific", "nonspecific"))
+        with pytest.raises(ValueError, match="^unknown c constraint family 'oddball'$"):
+            build(g5, "c", ("kappa-specific", "oddball"))
+        with pytest.raises(ValueError, match="^antichain enumeration is limited to n <= 5$"):
+            build(g6, "c", ("cluster-c", "kappa-specific"))
+    for argv in ("constraints --n 5 --framework u", "scan --n 5 --framework u"):
+        assert main(argv.split()) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[0] == "error: computed rays are limited to n <= 4"
 
 
 def test_assemble_system_refuses_rays_it_would_not_read():
