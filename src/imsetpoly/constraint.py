@@ -814,16 +814,11 @@ def _nonspecific_rows(ground: GroundSet) -> Iterator[LinearConstraint]:
     return _ray_rows(ground, supermodular_rays(ground))
 
 
-def _nonspecific_rows_c(ground: GroundSet) -> Iterator[LinearConstraint]:
-    """The nonspecific rows pulled back through u = Moebius(1 - c on the
-    subsets with >= 2 members): with b the subset-Moebius transform of a
-    ray m, pairing(m, u) >= 0 reads  sum of -b(S) c(S) >= -sum of b(S),  S
-    ranging over those subsets.  One 2^n butterfly per ray; the rays are
-    computed, or refused, on the call."""
-    return _pulled_back_ray_rows(ground, supermodular_rays(ground))
-
-
-def _pulled_back_ray_rows(ground: GroundSet, rays) -> Iterator[LinearConstraint]:
+def _nonspecific_rows_c(ground: GroundSet, rays) -> Iterator[LinearConstraint]:
+    """The nonspecific rows of rays pulled back through u = Moebius(1 - c on
+    the subsets with >= 2 members): with b the subset-Moebius transform of
+    a ray m, pairing(m, u) >= 0 reads  sum of -b(S) c(S) >= -sum of b(S),  S
+    ranging over those subsets.  One 2^n butterfly per ray."""
     masks = p2_masks(ground)
     for k, ray in enumerate(rays):
         b = superset_moebius([int(v) for v in ray.values[::-1]], ground.n)[::-1]
@@ -867,7 +862,7 @@ _C_TWINS: dict[str, Callable[[GroundSet, Sequence | None], Iterable[LinearConstr
         LinearConstraint("c", {}, "=", 0, row.tag) for row in _u_equality_rows(ground)
     ),
     "specific": lambda ground, walk: specific_rows(ground, "kappa-specific", walk),
-    "nonspecific": lambda ground, walk: _nonspecific_rows_c(ground),
+    "nonspecific": lambda ground, walk: _nonspecific_rows_c(ground, supermodular_rays(ground)),
     "cluster-u": lambda ground, walk: _FAMILY_ROWS["c"]["cluster-c"](ground),
 }
 

@@ -434,16 +434,12 @@ def _antichain_walk(ground: GroundSet, root, grow: Callable) -> Iterator[tuple[o
     return extend(root, (1 << (1 << ground.n)) - 2, 0)
 
 
-def _add_member(sets: tuple[int, ...], m: int) -> tuple[int, ...]:
-    return sets + (m,)
-
-
 def walk_antichains(ground: GroundSet) -> Iterator[tuple[tuple[int, ...], int]]:
     """Stream every non-empty antichain of non-empty subsets as (sets,
     closure): its members ascending, and its superset closure as a 2**n-bit
     int with bit t set when subset t contains a member (_antichain_walk,
     whose order this is).  Refuses n >= 6."""
-    return _antichain_walk(ground, (), _add_member)
+    return _antichain_walk(ground, (), lambda sets, m: sets + (m,))
 
 
 def enumerate_antichains(ground: GroundSet) -> Iterator[Antichain]:
