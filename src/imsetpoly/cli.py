@@ -332,7 +332,7 @@ def _cmd_transform(args) -> int:
     imset = imset_from_json_dict(_load_json(args.infile))
     src = KIND_ALIASES[args.src] if args.src else None
     dst = KIND_ALIASES[args.to]
-    actual = imset.to_json_dict()["kind"]
+    actual = imset._kind
     if src is not None and src != actual:
         raise ValueError(f"input file holds a {actual!r} vector, not {src!r}")
     if dst != actual:

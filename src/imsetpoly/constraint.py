@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from json.encoder import encode_basestring as _quote
-from math import gcd
+from math import gcd, lcm
 from string import ascii_letters, digits
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -201,10 +201,12 @@ class ConstraintSystem:
     def to_lp(self) -> str:
         """LP-format text export; every variable is declared free.
 
-        A row is named after its tag, each character other than a letter or
-        digit read as '_'; a name already taken gets the next free suffix
-        _1, _2, ...  A system whose distinct coordinates do not get distinct
-        variable names made of _LP_NAME_CHARS alone is refused."""
+        A row is named after its tag, each character other than an ASCII
+        letter or digit read as '_', and prefixed with 'r' when that leaves it
+        empty or starting with a digit; a name already taken gets the next
+        free suffix _1, _2, ...  A row with fractions is scaled to integers
+        (_integer_row).  A system whose distinct coordinates do not get
+        distinct variable names made of _LP_NAME_CHARS alone is refused."""
         lines = [f"\\ constraint system export (framework {self.framework})"]
         lines.append("Minimize")
         lines.append(" obj: 0")
@@ -214,23 +216,27 @@ class ConstraintSystem:
         # variable names in order of first use
         var = _Rendered(self._variable_name)
         for row in self.rows:
-            base = name = "".join(ch if ch.isalnum() else "_" for ch in row.tag)
+            base = "".join(ch if ch.isascii() and ch.isalnum() else "_" for ch in row.tag)
+            if not base or base[0] in digits:
+                base = "r" + base
+            name = base
             while name in taken:
                 suffixes[base] = suffixes.get(base, 0) + 1
                 name = f"{base}_{suffixes[base]}"
             taken.add(name)
-            if row.is_vacuous:
-                lines.append(f"\\ vacuous row {name}: 0 {row.sense} {row.rhs}")
+            coeffs, rhs = _integer_row(row)
+            if not coeffs:
+                lines.append(f"\\ vacuous row {name}: 0 {row.sense} {rhs}")
                 continue
             terms = []
-            for key, coef in sorted_items(row.coeffs):
+            for key, coef in sorted_items(coeffs):
                 text = str(coef)
                 if text[0] == "-":
                     terms.append(f"- {text[1:]} {var[key]}")
                 else:
                     terms.append(f"+ {text} {var[key]}")
             body = " ".join(terms).lstrip("+ ")
-            lines.append(f" {name}: {body} {row.sense} {row.rhs}")
+            lines.append(f" {name}: {body} {row.sense} {rhs}")
         lines.append("Bounds")
         owners: dict[str, object] = {}
         for key, variable in var.items():
@@ -247,6 +253,15 @@ class ConstraintSystem:
             lines.append(f" {variable} free")
         lines.append("End")
         return "\n".join(lines) + "\n"
+
+
+def _integer_row(row: LinearConstraint) -> tuple[dict, int]:
+    """The row's coefficients and right-hand side multiplied by the lcm of
+    their denominators, so that all are ints; a row of ints as it is."""
+    scale = lcm(row.rhs.denominator, *[v.denominator for v in row.coeffs.values()])
+    if scale == 1:
+        return row.coeffs, row.rhs
+    return {k: int(v * scale) for k, v in row.coeffs.items()}, int(row.rhs * scale)
 
 
 class _Rendered(dict):
@@ -495,16 +510,12 @@ class SupermodularFunction(_Vector):
         )
 
     def to_json_dict(self) -> dict:
-        entries = {}
-        for m, v in enumerate(self.values):
-            if v:
-                if v.denominator != 1:
-                    raise ValueError(
-                        "only integer-valued set functions serialize; "
-                        "normalize the vector first"
-                    )
-                entries[self.ground.subset_key(m)] = int(v)
-        return {"entries": entries}
+        entries = self._entries()
+        if any(v.denominator != 1 for v in entries.values()):
+            raise ValueError(
+                "only integer-valued set functions serialize; normalize the vector first"
+            )
+        return {"entries": {key: int(v) for key, v in entries.items()}}
 
 
 def _elementary_triples(ground: GroundSet) -> Iterator[tuple[int, int, int]]:
@@ -701,11 +712,7 @@ class DualVector(_Vector):
             raise ValueError("dual vectors carry no entry at the empty set")
 
     def to_json_dict(self) -> dict:
-        entries = {
-            self.ground.subset_key(m): str(v)
-            for m, v in enumerate(self.values)
-            if v
-        }
+        entries = {key: str(v) for key, v in self._entries().items()}
         return {"labels": list(self.ground.labels), "entries": entries}
 
     @classmethod

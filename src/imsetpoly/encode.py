@@ -35,10 +35,12 @@ from .setfam import (
 
 @dataclass(frozen=True)
 class _Vector:
-    """Entries over the subsets (or pairs) of a ground set.
+    """Entries over the coordinates of a ground set, one entry per coordinate.
 
     A subclass names its noun for the length error, its per-entry conversion
-    (None keeps entries as given) and its length when that is not 2^n.
+    (None keeps entries as given) and its coordinates, in entry order, when
+    they are not every subset in mask order: a coordinate is a subset mask
+    or an (i, B) pair.
     """
 
     ground: GroundSet
@@ -46,49 +48,56 @@ class _Vector:
 
     _noun = "vector"
     _entry = None
+    _coordinates = staticmethod(lambda ground: range(1 << ground.n))
 
     def __post_init__(self) -> None:
         entry = self._entry
         values = tuple(self.values) if entry is None else tuple(map(entry, self.values))
-        expect = self._length()
+        expect = len(self._coordinates(self.ground))
         if len(values) != expect:
             raise ValueError(f"{self._noun} needs {expect} entries, got {len(values)}")
         object.__setattr__(self, "values", values)
-
-    def _length(self) -> int:
-        return 1 << self.ground.n
 
     def value(self, mask: int):
         self.ground.check_mask(mask)
         return self.values[mask]
 
+    def _entries(self) -> dict:
+        """The nonzero entries, in coordinate order, keyed by the name of
+        their coordinate (pair_key or subset_key)."""
+        ground = self.ground
+        return {
+            ground.pair_key(*at) if type(at) is tuple else ground.subset_key(at): v
+            for at, v in zip(self._coordinates(ground), self.values)
+            if v
+        }
 
-class EtaVector(_Vector):
+
+class _Imset(_Vector):
+    """A vector encoding with a JSON form: its _kind and its nonzero entries."""
+
+    def to_json_dict(self) -> dict:
+        return {"labels": list(self.ground.labels), "kind": self._kind, "entries": self._entries()}
+
+
+class EtaVector(_Imset):
     """Integer vector indexed by conditional pairs (i|B), canonical order."""
 
     _noun = "eta vector"
-
-    def _length(self) -> int:
-        return self.ground.n * (1 << (self.ground.n - 1))
+    _kind = "eta"
+    _coordinates = staticmethod(eta_pairs)
 
     def value(self, i: int, b: int) -> int:
         self.ground.check_mask(1 << i)
         self.ground.check_mask(b)
         return self.values[pair_index(self.ground, i, b)]
 
-    def to_json_dict(self) -> dict:
-        ground = self.ground
-        entries = {}
-        for (i, b), v in zip(eta_pairs(ground), self.values):
-            if v:
-                entries[ground.pair_key(i, b)] = v
-        return {"labels": list(ground.labels), "kind": "eta", "entries": entries}
 
-
-class StandardImset(_Vector):
+class StandardImset(_Imset):
     """Integer function on all subsets; values[mask] is the entry at mask."""
 
     _noun = "standard imset"
+    _kind = "standard"
 
     def is_standardized(self) -> bool:
         """Total sum zero and, for each variable, the sum over sets containing
@@ -101,12 +110,6 @@ class StandardImset(_Vector):
                 return False
         return True
 
-    def to_json_dict(self) -> dict:
-        entries = {
-            self.ground.subset_key(m): v for m, v in enumerate(self.values) if v
-        }
-        return {"labels": list(self.ground.labels), "kind": "standard", "entries": entries}
-
 
 class Portrait(_Vector):
     """Superset-sum transform of a standard imset (one entry per subset)."""
@@ -114,32 +117,19 @@ class Portrait(_Vector):
     _noun = "portrait"
 
 
-class CharacteristicImset(_Vector):
+class CharacteristicImset(_Imset):
     """Integer function on subsets with >= 2 members (ascending mask order);
     reads as 1 on smaller subsets."""
 
     _noun = "characteristic imset"
-
-    def _length(self) -> int:
-        return len(p2_masks(self.ground))
+    _kind = "characteristic"
+    _coordinates = staticmethod(p2_masks)
 
     def value(self, mask: int) -> int:
         self.ground.check_mask(mask)
         if mask.bit_count() <= 1:
             return 1
         return self.values[p2_index(self.ground)[mask]]
-
-    def to_json_dict(self) -> dict:
-        entries = {
-            self.ground.subset_key(m): v
-            for m, v in zip(p2_masks(self.ground), self.values)
-            if v
-        }
-        return {
-            "labels": list(self.ground.labels),
-            "kind": "characteristic",
-            "entries": entries,
-        }
 
 
 def basic_vector(ground: GroundSet, a: int) -> StandardImset:
@@ -171,7 +161,7 @@ def semi_elementary_imset(ground: GroundSet, a: int, b: int, c: int) -> Standard
 def eta_of(g: DirectedGraph) -> EtaVector:
     """The 0/1 code of a digraph: 1 at (i|B) iff B is the parent set of i."""
     ground = g.ground
-    values = [0] * (ground.n * (1 << (ground.n - 1)))
+    values = [0] * len(eta_pairs(ground))
     for i, p in enumerate(g.parents):
         values[pair_index(ground, i, p)] = 1
     return EtaVector(ground, tuple(values))
@@ -287,24 +277,16 @@ def imset_from_json_dict(data: dict):
     except (KeyError, TypeError):
         raise ValueError("imset JSON needs 'labels', 'kind' and 'entries'") from None
     ground = _ground_from_labels(labels)
-    if kind == "eta":
-        values = [0] * (ground.n * (1 << (ground.n - 1)))
-        for (i, b), v in _keyed_entries(_integer_entries(entries), ground.parse_pair):
-            values[pair_index(ground, i, b)] = v
-        return EtaVector(ground, tuple(values))
-    if kind == "standard":
-        values = [0] * (1 << ground.n)
-        for mask, v in _keyed_entries(_integer_entries(entries), ground.parse_subset):
-            values[mask] = v
-        return StandardImset(ground, tuple(values))
-    if kind == "characteristic":
-        values = [0] * len(p2_masks(ground))
-        index = p2_index(ground)
-        for mask, v in _keyed_entries(_integer_entries(entries), ground.parse_subset):
-            if mask.bit_count() < 2:
-                raise ValueError(
-                    "characteristic imset entries need subsets with >= 2 members"
-                )
-            values[index[mask]] = v
-        return CharacteristicImset(ground, tuple(values))
-    raise ValueError(f"unknown imset kind {kind!r}")
+    cls = next((c for c in (EtaVector, StandardImset, CharacteristicImset) if c._kind == kind), None)
+    if cls is None:
+        raise ValueError(f"unknown imset kind {kind!r}")
+    coordinates = cls._coordinates(ground)
+    index = {at: k for k, at in enumerate(coordinates)}
+    parse = ground.parse_pair if type(coordinates[0]) is tuple else ground.parse_subset
+    values = [0] * len(coordinates)
+    for at, v in _keyed_entries(_integer_entries(entries), parse):
+        if at not in index:
+            # only the characteristic imset leaves subsets out
+            raise ValueError(f"{cls._noun} entries need subsets with >= 2 members")
+        values[index[at]] = v
+    return cls(ground, tuple(values))

@@ -13,15 +13,16 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from itertools import chain, product
-from math import lcm, prod
+from math import prod
 
 from .constraint import (
     _C_TWINS,
     ConstraintSystem,
     LinearConstraint,
     _family_builders,
+    _integer_row,
     assemble_system,
     cluster_constraint_u,
     cluster_supermodular,
@@ -154,7 +155,6 @@ class EnumerationBox:
 # census
 
 
-@lru_cache(maxsize=None)
 def _census_data(ground: GroundSet) -> frozenset[int]:
     """The set of distinct packed characteristic imsets of the DAGs (see
     digraph._super_terminal_table), by one pass over the node subsets W,
@@ -182,7 +182,6 @@ def _census_data(ground: GroundSet) -> frozenset[int]:
     return classes[ground.full_mask]
 
 
-@lru_cache(maxsize=None)
 def census_characteristic_set(ground: GroundSet) -> frozenset[tuple[int, ...]]:
     """All distinct characteristic tuples of acyclic digraphs (coordinates in
     ascending order of subsets with >= 2 members)."""
@@ -224,10 +223,11 @@ def _compile_rows(system: ConstraintSystem):
     sum of a[k] c_k >= r  with integer a, keyed by index into the ascending
     list of subsets with >= 2 members, and integer r.  A '<=' row is
     negated, an '=' row gives both halves, and a row with rational entries
-    is scaled to integers once.  Lanes follow the system's row order, a
-    row's lanes adjacent, so the first violated lane at a point names the
-    first violated row.  A key outside the coordinates is refused with the
-    row's tag; a 'u' row reaches lanes through its c twin (_family_lanes).
+    is scaled to integers once (constraint._integer_row).  Lanes follow the
+    system's row order, a row's lanes adjacent, so the first violated lane
+    at a point names the first violated row.  A key outside the coordinates
+    is refused with the row's tag; a 'u' row reaches lanes through its c
+    twin (_family_lanes).
     """
     if system.framework != "c":
         raise ValueError(f"lanes compile from 'c' rows only, not {system.framework!r} rows")
@@ -236,12 +236,7 @@ def _compile_rows(system: ConstraintSystem):
     for row in system.rows:
         if not row.coeffs.keys() <= index.keys():
             raise ValueError(f"row {row.tag!r} has a key outside the 'c' coordinates")
-        # whole entries are ints already; only a row with a Fraction is scaled
-        scale = lcm(row.rhs.denominator, *[v.denominator for v in row.coeffs.values()])
-        entries = row.coeffs
-        if scale > 1:
-            entries = {m: int(v * scale) for m, v in entries.items()}
-        rhs = int(row.rhs * scale)
+        entries, rhs = _integer_row(row)
         terms = {index[m]: v for m, v in entries.items()}
         if row.sense != "<=":
             lanes.append((terms, rhs, row.tag))

@@ -189,6 +189,22 @@ def test_lp_row_names_skip_names_already_taken():
     assert names == ["x", "x_1", "x_1_1"]
 
 
+@pytest.mark.parametrize(
+    "coeffs, rhs, tag, line",
+    [
+        # é is a letter to str.isalnum, but no LP name may hold it or start with a digit
+        ({3: 1}, 0, "1é", " r1_: 1 u_ab >= 0"),
+        ({6: 1}, 0, "", " r: 1 u_bc >= 0"),
+        # LP text has no fractions: the row is scaled by the lcm of its denominators
+        ({3: Fraction(1, 2), 5: Fraction(-2, 3)}, Fraction(1, 3), "half", " half: 3 u_ab - 4 u_ac >= 2"),
+    ],
+    ids=["non-ascii-and-digit", "empty-tag", "fractions"],
+)
+def test_lp_row_line(coeffs, rhs, tag, line):
+    row = LinearConstraint("u", coeffs, ">=", rhs, tag)
+    assert f"\n{line}\n" in ConstraintSystem(G3, "u", (row,)).to_lp()
+
+
 def test_lp_refuses_coordinates_that_share_a_variable_name():
     # labels "ab", "c" and "a", "bc" would both name their union u_abc
     g = GroundSet(("ab", "c", "a", "bc"))

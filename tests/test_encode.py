@@ -278,6 +278,24 @@ def test_json_round_trips():
     ):
         data = obj.to_json_dict()
         assert imset_from_json_dict(data) == obj
+    # random integer vectors of each kind, zeros and negatives included; the
+    # entries are the nonzero ones, keyed by coordinate name in coordinate order
+    rng = random.Random(31)
+    for n in (2, 3, 4):
+        g = GroundSet.of_size(n)
+        for cls, kind, names in (
+            (EtaVector, "eta", [g.pair_key(i, b) for i, b in eta_pairs(g)]),
+            (StandardImset, "standard", [g.subset_key(m) for m in range(1 << n)]),
+            (CharacteristicImset, "characteristic", [g.subset_key(m) for m in p2_masks(g)]),
+        ):
+            for _ in range(5):
+                values = [rng.choice((0, 0, 1, -1, 7, -12)) for _ in names]
+                obj = cls(g, values)
+                data = obj.to_json_dict()
+                assert data["labels"] == list(g.labels) and data["kind"] == kind
+                assert list(data["entries"]) == [k for k, v in zip(names, values) if v]
+                assert list(data["entries"].values()) == [v for v in values if v]
+                assert imset_from_json_dict(data) == obj
     with pytest.raises(ValueError):
         imset_from_json_dict({"labels": ["a", "b"], "kind": "odd", "entries": {}})
     # a kind that is not a string is refused the same way, not hashed
@@ -285,7 +303,9 @@ def test_json_round_trips():
         imset_from_json_dict({"labels": ["a", "b"], "kind": ["eta"], "entries": {}})
     with pytest.raises(ValueError):
         imset_from_json_dict({"kind": "eta"})
-    with pytest.raises(ValueError):
+    with pytest.raises(
+        ValueError, match=r"^characteristic imset entries need subsets with >= 2 members$"
+    ):
         imset_from_json_dict(
             {"labels": ["a", "b", "c"], "kind": "characteristic", "entries": {"a": 1}}
         )

@@ -232,6 +232,14 @@ def test_census_data_does_not_read_the_labels():
         assert verify._census_data(ground) == verify._census_data(GroundSet.of_size(len(labels)))
 
 
+def test_census_is_built_on_every_call():
+    # no cache keeps a census alive between calls (at n = 6 it holds hundreds
+    # of MB): two calls give equal sets, each built afresh
+    for census in (verify._census_data, census_characteristic_set):
+        first, second = census(G4), census(G4)
+        assert first == second and first is not second
+
+
 def test_census_class_payload():
     report = census_equivalence_classes(G3)
     classes = report.payload["class_points"]
