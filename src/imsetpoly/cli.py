@@ -343,73 +343,47 @@ def _cmd_transform(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="imsetpoly",
-        description="Exact-arithmetic encodings, constraint systems, and "
-        "verification experiments for graphical-structure vectors.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_n(p) -> None:
+    p.add_argument("--n", type=int, required=True, help="ground-set size")
 
-    def add_n(p):
-        p.add_argument("--n", type=int, required=True, help="ground-set size")
 
-    def add_out(p):
-        p.add_argument("--out", help="write output to this file instead of stdout")
+def _add_box(p) -> None:
+    p.add_argument("--box", choices=("01", "default"), default="default")
 
-    p = sub.add_parser("census", help="count acyclic digraphs and their classes")
-    add_n(p)
-    add_out(p)
-    p.set_defaults(func=_cmd_census)
 
-    p = sub.add_parser(
-        "scan", help="enumerate box lattice points satisfying chosen row families"
-    )
-    add_n(p)
+def _scan_options(p) -> None:
+    _add_n(p)
     p.add_argument("--framework", choices=("u", "c"), required=True)
     p.add_argument(
         "--families", help="comma-separated family names (default: all for the framework)"
     )
-    p.add_argument("--box", choices=("01", "default"), default="default")
-    add_out(p)
-    p.set_defaults(func=_cmd_scan)
+    _add_box(p)
 
-    p = sub.add_parser(
-        "compare-relaxations",
-        help="check the lattice containment between the two u-framework relaxations",
-    )
-    add_n(p)
-    p.add_argument("--box", choices=("01", "default"), default="default")
-    add_out(p)
-    p.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("example", help="run a bundled three-variable reference check")
+def _compare_options(p) -> None:
+    _add_n(p)
+    _add_box(p)
+
+
+def _example_options(p) -> None:
     p.add_argument("--id", type=int, required=True, choices=range(1, 9), metavar="1..8")
-    add_out(p)
-    p.set_defaults(func=_cmd_example)
 
-    p = sub.add_parser("encode", help="encode a digraph JSON file as a vector")
+
+def _encode_options(p) -> None:
     p.add_argument("--graph", required=True, help="JSON file with labels and edges")
-    p.add_argument(
-        "--as",
-        dest="as_kind",
-        choices=tuple(_ENCODERS),
-        required=True,
-    )
-    add_out(p)
-    p.set_defaults(func=_cmd_encode)
+    p.add_argument("--as", dest="as_kind", choices=tuple(_ENCODERS), required=True)
 
-    p = sub.add_parser("constraints", help="emit a constraint system as JSON or LP")
-    add_n(p)
+
+def _constraints_options(p) -> None:
+    _add_n(p)
     p.add_argument("--framework", choices=("eta", "u", "c"), required=True)
     p.add_argument("--families")
     p.add_argument("--format", choices=("json", "lp"), default="json")
-    add_out(p)
-    p.set_defaults(func=_cmd_constraints)
 
-    p = sub.add_parser("matrix", help="emit or check a catalog matrix")
+
+def _matrix_options(p) -> None:
     p.add_argument("--which", choices=tuple(MATRIX_BUILDERS), required=True)
-    add_n(p)
+    _add_n(p)
     p.add_argument("--check", choices=("hnf", "unimodular", "tu", "products"))
     p.add_argument("--csv", action="store_true", help="emit CSV instead of JSON")
     p.add_argument(
@@ -418,25 +392,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="append the empty-set balancing row (matrix E only; not with "
         "--check products, which always reads it)",
     )
-    add_out(p)
-    p.set_defaults(func=_cmd_matrix)
 
-    p = sub.add_parser(
-        "decompose", help="decompose a dual vector over extreme class vectors"
-    )
+
+def _decompose_options(p) -> None:
     p.add_argument("--y", required=True, help="JSON file with labels and entries")
-    add_out(p)
-    p.set_defaults(func=_cmd_decompose)
 
-    p = sub.add_parser("rays", help="list extreme supermodular rays")
-    add_n(p)
+
+def _rays_options(p) -> None:
+    _add_n(p)
     p.add_argument(
         "--method", choices=("builtin", "dd"), help="default: builtin at n = 3, dd otherwise"
     )
-    add_out(p)
-    p.set_defaults(func=_cmd_rays)
 
-    p = sub.add_parser("transform", help="convert one vector encoding to another")
+
+def _transform_options(p) -> None:
     p.add_argument(
         "--from",
         dest="src",
@@ -445,15 +414,92 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--to", choices=tuple(KIND_ALIASES), required=True)
     p.add_argument("--in", dest="infile", required=True, help="imset JSON file")
-    add_out(p)
-    p.set_defaults(func=_cmd_transform)
 
+
+# name -> (help, a function adding the options before --out, handler), in
+# the order the help lists them; every command takes --out last
+COMMANDS = {
+    "census": ("count acyclic digraphs and their classes", _add_n, _cmd_census),
+    "scan": (
+        "enumerate box lattice points satisfying chosen row families",
+        _scan_options,
+        _cmd_scan,
+    ),
+    "compare-relaxations": (
+        "check the lattice containment between the two u-framework relaxations",
+        _compare_options,
+        _cmd_compare,
+    ),
+    "example": ("run a bundled three-variable reference check", _example_options, _cmd_example),
+    "encode": ("encode a digraph JSON file as a vector", _encode_options, _cmd_encode),
+    "constraints": (
+        "emit a constraint system as JSON or LP",
+        _constraints_options,
+        _cmd_constraints,
+    ),
+    "matrix": ("emit or check a catalog matrix", _matrix_options, _cmd_matrix),
+    "decompose": (
+        "decompose a dual vector over extreme class vectors",
+        _decompose_options,
+        _cmd_decompose,
+    ),
+    "rays": ("list extreme supermodular rays", _rays_options, _cmd_rays),
+    "transform": ("convert one vector encoding to another", _transform_options, _cmd_transform),
+}
+
+_PROG = "imsetpoly"
+
+
+class _CommandParser(argparse.ArgumentParser):
+    """One command's parser on its own: it refuses a line by raising, so
+    that the full parser can parse the line again and word the refusal."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
+def _add_command(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    _, add_options, handler = COMMANDS[name]
+    add_options(p)
+    p.add_argument("--out", help="write output to this file instead of stdout")
+    p.set_defaults(func=handler)
+    return p
+
+
+def _command_parser(name: str) -> _CommandParser:
+    """The parser of command `name` alone; it parses the words after the
+    name into a namespace that already holds `command`."""
+    return _add_command(_CommandParser(prog=f"{_PROG} {name}"), name)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog=_PROG,
+        description="Exact-arithmetic encodings, constraint systems, and "
+        "verification experiments for graphical-structure vectors.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, _) in COMMANDS.items():
+        _add_command(sub.add_parser(name, help=help_text), name)
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """A line whose first word names a command is parsed by that command's
+    parser alone; a line it refuses, and any other line, by the full parser,
+    so help, usage errors and exit codes read as the full parser words them."""
+    if argv and argv[0] in COMMANDS:
+        try:
+            return _command_parser(argv[0]).parse_args(
+                argv[1:], argparse.Namespace(command=argv[0])
+            )
+        except argparse.ArgumentError:
+            pass
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     t0 = time.perf_counter()
     try:
         return args.func(args)

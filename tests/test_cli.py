@@ -57,15 +57,27 @@ def test_census_command(capsys):
     assert "elapsed" in err
 
 
-def test_package_runs_as_a_module(capsys):
-    # python -m imsetpoly is the console script
+def test_package_runs_as_a_module(capsys, monkeypatch):
+    # python -m imsetpoly is the console script, reading sys.argv: a line the
+    # census parser takes runs, and one it refuses reads as the full parser
+    # words it
+    monkeypatch.setenv("COLUMNS", "80")
     src = Path(cli.__file__).parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
-    argv = [sys.executable, "-m", "imsetpoly", "census", "--n", "3"]
-    proc = subprocess.run(argv, env=env, capture_output=True, text=True)
+
+    def module_run(*argv):
+        argv = [sys.executable, "-m", "imsetpoly", *argv]
+        return subprocess.run(argv, env=env, capture_output=True, text=True)
+
+    proc = module_run("census", "--n", "3")
     code, out, _ = run(capsys, "census", "--n", "3")
     assert proc.returncode == code == 0
     assert proc.stdout == out
+    proc = module_run("census", "--n", "x")
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(["census", "--n", "x"])
+    assert proc.returncode == exc.value.code == 2
+    assert (proc.stdout, proc.stderr) == ("", capsys.readouterr().err)
 
 
 def test_scan_command(capsys):
@@ -444,19 +456,64 @@ def test_runtime_error_exits_two_with_one_line(capsys, monkeypatch, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the README against the parser
+# the parsers, and the README against them
 
 README = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+GOLDEN_CASES = json.loads(
+    (Path(__file__).parent / "golden" / "cases.json").read_text(encoding="utf-8")
+)
 
 
 def test_readme_usage_lines_parse():
     lines = [line for line in README.splitlines() if line.startswith("imsetpoly ")]
     assert len(lines) >= 13
+    argvs = [shlex.split(line, comments=True)[1:] for line in lines]
+    argvs += [case["argv"].split() for case in GOLDEN_CASES]
     parser = cli.build_parser()
-    for line in lines:
+    for argv in argvs:
         # parse only: nothing runs
-        args = parser.parse_args(shlex.split(line, comments=True)[1:])
-        assert callable(args.func), line
+        args = parser.parse_args(argv)
+        assert callable(args.func), argv
+        # main parses the line with its command's parser alone, to the same
+        # namespace
+        alone = cli._command_parser(argv[0]).parse_args(
+            argv[1:], argparse.Namespace(command=argv[0])
+        )
+        assert alone == args, argv
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "",
+        "nope --n 3",
+        "--help",
+        "census -h",
+        "census --n x",
+        "example --id 9",
+        "scan --n 3",
+        "scan --n 3 --framework u --bogus 1",
+        "rays --n 5 --method dd --long-run",
+    ],
+)
+def test_refusals_and_help_read_as_the_full_parser_words_them(capsys, line):
+    def outcome(parse):
+        with pytest.raises(SystemExit) as exc:
+            parse(line.split())
+        captured = capsys.readouterr()
+        err = captured.err.splitlines(keepends=True)
+        return exc.value.code, captured.out, [e for e in err if not e.startswith("elapsed ")]
+
+    assert outcome(main) == outcome(cli.build_parser().parse_args)
+
+
+def test_a_well_formed_line_builds_only_its_commands_parser(capsys, monkeypatch):
+    def full_parser():
+        raise AssertionError("the full parser was built")
+
+    monkeypatch.setattr(cli, "build_parser", full_parser)
+    code, data, _ = run_json(capsys, "census", "--n", "3")
+    assert code == 0 and data["counts"] == {"dags": 25, "classes": 11}
 
 
 def test_readme_flags_are_subcommand_options():
