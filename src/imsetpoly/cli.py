@@ -450,14 +450,6 @@ COMMANDS = {
 _PROG = "imsetpoly"
 
 
-class _CommandParser(argparse.ArgumentParser):
-    """One command's parser on its own: it refuses a line by raising, so
-    that the full parser can parse the line again and word the refusal."""
-
-    def error(self, message):
-        raise argparse.ArgumentError(None, message)
-
-
 def _add_command(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
     _, add_options, handler = COMMANDS[name]
     add_options(p)
@@ -466,10 +458,10 @@ def _add_command(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentPars
     return p
 
 
-def _command_parser(name: str) -> _CommandParser:
+def _command_parser(name: str) -> argparse.ArgumentParser:
     """The parser of command `name` alone; it parses the words after the
     name into a namespace that already holds `command`."""
-    return _add_command(_CommandParser(prog=f"{_PROG} {name}"), name)
+    return _add_command(argparse.ArgumentParser(prog=f"{_PROG} {name}"), name)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -485,16 +477,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """A line whose first word names a command is parsed by that command's
-    parser alone; a line it refuses, and any other line, by the full parser,
-    so help, usage errors and exit codes read as the full parser words them."""
+    """A line whose first word names a command is parsed, and refused, by
+    that command's parser alone; any other line by the full parser."""
     if argv and argv[0] in COMMANDS:
-        try:
-            return _command_parser(argv[0]).parse_args(
-                argv[1:], argparse.Namespace(command=argv[0])
-            )
-        except argparse.ArgumentError:
-            pass
+        return _command_parser(argv[0]).parse_args(argv[1:], argparse.Namespace(command=argv[0]))
     return build_parser().parse_args(argv)
 
 

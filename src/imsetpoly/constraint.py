@@ -22,7 +22,6 @@ from .exactlin import _echelon
 from .setfam import (
     Antichain,
     GroundSet,
-    SetClass,
     _antichain_walk,
     _ground_from_labels,
     _keyed_entries,
@@ -32,7 +31,6 @@ from .setfam import (
     _up_set,
     bits_of,
     eta_pairs,
-    minimal_sets,
     p1_masks,
     p2_masks,
     superset_closure,
@@ -782,11 +780,11 @@ def conic_decompose(y: DualVector) -> list[tuple[Antichain, Fraction]]:
     """Write a dual-cone member as a positive combination of extreme vectors
     y_A over superset-closed classes A.
 
-    Each pass closes the support upward, peels off the minimum over the
-    minimal sets, and repeats; the support class strictly shrinks, so the
-    loop ends.  Raises ValueError if the input is outside the cone and
-    ConeViolationError if a residual ever leaves it (which would indicate a
-    bug, not bad input).
+    Each pass takes the minimal sets of the support (those of its superset
+    closure A), peels off the minimum over them times y_A, and repeats; the
+    support class strictly shrinks, so the loop ends.  Raises ValueError if
+    the input is outside the cone and ConeViolationError if a residual ever
+    leaves it (which would indicate a bug, not bad input).
     """
     if not check_dual_cone(y):
         raise ValueError("input vector is outside the dual cone")
@@ -794,9 +792,12 @@ def conic_decompose(y: DualVector) -> list[tuple[Antichain, Fraction]]:
     current = list(y.values)
     terms: list[tuple[Antichain, Fraction]] = []
     while any(current):
-        support = [t for t in p1_masks(ground) if current[t] != 0]
-        closure = SetClass(ground, tuple(bits_of(_up_set(ground.n, support))))
-        mins = minimal_sets(closure)
+        # a support member is minimal when no earlier minimal set lies below it
+        sets: list[int] = []
+        for t in p1_masks(ground):
+            if current[t] != 0 and all(m & t != m for m in sets):
+                sets.append(t)
+        mins = Antichain(ground, tuple(sets))
         beta = min(current[t] for t in mins)
         if beta <= 0:
             raise ConeViolationError(

@@ -59,7 +59,7 @@ def test_census_command(capsys):
 
 def test_package_runs_as_a_module(capsys, monkeypatch):
     # python -m imsetpoly is the console script, reading sys.argv: a line the
-    # census parser takes runs, and one it refuses reads as the full parser
+    # census parser takes runs, and one it refuses reads as the census parser
     # words it
     monkeypatch.setenv("COLUMNS", "80")
     src = Path(cli.__file__).parents[1]
@@ -75,7 +75,7 @@ def test_package_runs_as_a_module(capsys, monkeypatch):
     assert proc.stdout == out
     proc = module_run("census", "--n", "x")
     with pytest.raises(SystemExit) as exc:
-        cli.build_parser().parse_args(["census", "--n", "x"])
+        cli._command_parser("census").parse_args(["--n", "x"])
     assert proc.returncode == exc.value.code == 2
     assert (proc.stdout, proc.stderr) == ("", capsys.readouterr().err)
 
@@ -482,6 +482,26 @@ def test_readme_usage_lines_parse():
         assert alone == args, argv
 
 
+# the refused lines whose command's parser words the refusal differently from
+# the full parser: the full parser would show its own usage, listing every
+# command; the value is what the refusal names
+UNRECOGNIZED = {
+    "census --n 3 extra": "extra",
+    "scan --n 3 --framework u --bogus 1": "--bogus 1",
+    "rays --n 5 --method dd --long-run": "--long-run",
+}
+
+
+def parse_outcome(capsys, parse, argv):
+    """Exit code, stdout and stderr lines (without `elapsed`) of a parse that
+    exits."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    err = captured.err.splitlines(keepends=True)
+    return exc.value.code, captured.out, [e for e in err if not e.startswith("elapsed ")]
+
+
 @pytest.mark.parametrize(
     "line",
     [
@@ -492,28 +512,42 @@ def test_readme_usage_lines_parse():
         "census --n x",
         "example --id 9",
         "scan --n 3",
-        "scan --n 3 --framework u --bogus 1",
-        "rays --n 5 --method dd --long-run",
+        *UNRECOGNIZED,
     ],
 )
 def test_refusals_and_help_read_as_the_full_parser_words_them(capsys, line):
-    def outcome(parse):
-        with pytest.raises(SystemExit) as exc:
-            parse(line.split())
-        captured = capsys.readouterr()
-        err = captured.err.splitlines(keepends=True)
-        return exc.value.code, captured.out, [e for e in err if not e.startswith("elapsed ")]
-
-    assert outcome(main) == outcome(cli.build_parser().parse_args)
+    argv = line.split()
+    outcome = parse_outcome(capsys, main, argv)
+    # a line with a command reads as its command's parser words it, any
+    # other line as the full parser does
+    if argv and argv[0] in cli.COMMANDS:
+        namespace = argparse.Namespace(command=argv[0])
+        own = cli._command_parser(argv[0]).parse_args
+        assert outcome == parse_outcome(capsys, lambda words: own(words, namespace), argv[1:])
+    if line not in UNRECOGNIZED:
+        assert outcome == parse_outcome(capsys, cli.build_parser().parse_args, argv)
+        return
+    code, out, err = outcome
+    assert (code, out) == (2, "")
+    assert err[0].startswith(f"usage: imsetpoly {argv[0]} ")
+    assert err[-1] == f"imsetpoly {argv[0]}: error: unrecognized arguments: {UNRECOGNIZED[line]}\n"
 
 
 def test_a_well_formed_line_builds_only_its_commands_parser(capsys, monkeypatch):
+    # a line whose first word names a command never reaches the full parser,
+    # refused or not
     def full_parser():
         raise AssertionError("the full parser was built")
 
     monkeypatch.setattr(cli, "build_parser", full_parser)
     code, data, _ = run_json(capsys, "census", "--n", "3")
     assert code == 0 and data["counts"] == {"dags": 25, "classes": 11}
+    for line, code in [
+        ("census --n x", 2),
+        ("scan --n 3 --framework u --bogus 1", 2),
+        ("census -h", 0),
+    ]:
+        assert parse_outcome(capsys, main, line.split())[0] == code, line
 
 
 def test_readme_flags_are_subcommand_options():

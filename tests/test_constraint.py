@@ -46,9 +46,13 @@ from imsetpoly.encode import (
 from imsetpoly.setfam import (
     Antichain,
     GroundSet,
+    SetClass,
     _json_text,
+    _up_set,
+    bits_of,
     enumerate_antichains,
     eta_pairs,
+    minimal_sets,
     p1_masks,
     p2_masks,
     superset_closure,
@@ -862,6 +866,41 @@ def test_conic_decompose_random_combinations():
                 for t, v in enumerate(extremes.get(a, y_of_class(a)).values):
                     rebuilt[t] += w * v
             assert rebuilt == vals
+
+
+def closure_decompose(y):
+    """The decomposition loop through the superset closure: each pass closes
+    the support upward into a SetClass and takes its minimal_sets."""
+    ground = y.ground
+    current = list(y.values)
+    terms = []
+    while any(current):
+        support = [t for t in p1_masks(ground) if current[t] != 0]
+        mins = minimal_sets(SetClass(ground, tuple(bits_of(_up_set(ground.n, support)))))
+        beta = min(current[t] for t in mins)
+        assert beta > 0
+        for t, v in enumerate(y_of_class(mins).values):
+            current[t] -= beta * v
+        terms.append((mins, Fraction(beta)))
+    return terms
+
+
+def test_conic_decompose_takes_the_closures_minimal_sets():
+    # the minimal sets of the support are those of its superset closure, so
+    # the terms are those of the loop through the closure
+    for ground, trials in ((G3, 60), (G4, 48)):
+        antichains = list(enumerate_antichains(ground))
+        rng = random.Random(100 + ground.n)
+        ys = [y_of_class(a) for a in antichains]
+        for _ in range(trials):
+            vals = [Fraction(0)] * (1 << ground.n)
+            for a in rng.sample(antichains, rng.randint(2, 5)):
+                w = Fraction(rng.randint(1, 6), rng.randint(1, 3))
+                for t, v in enumerate(y_of_class(a).values):
+                    vals[t] += w * v
+            ys.append(DualVector(ground, tuple(vals)))
+        for y in ys:
+            assert conic_decompose(y) == closure_decompose(y), y.values
 
 
 # ---------------------------------------------------------------------------

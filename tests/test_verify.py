@@ -960,6 +960,56 @@ def test_relaxation_comparison_refuses_a_box_over_another_ground_set():
         relaxation_comparison(G3, EnumerationBox.zero_one(G4))
 
 
+def test_relaxation_comparison_names_a_leaked_point(monkeypatch):
+    # a probe lane c(a,b) <= 0 spliced into the cluster-u lanes cuts the
+    # census points with an a-b edge out of the cluster relaxation only
+    probe = _compiled(G3, "c", [_c_row(G3, ((0, 1),), "<=", 0, "probe")])
+    family_lanes = verify._family_lanes
+
+    def spliced(ground, framework, families, walk=None):
+        lanes, sizes = family_lanes(ground, framework, families, walk)
+        return (lanes + probe if tuple(families) == ("cluster-u",) else lanes), sizes
+
+    monkeypatch.setattr(verify, "_family_lanes", spliced)
+    report = relaxation_comparison(G3)
+    leaked = [p for p in sorted(census_characteristic_set(G3)) if p[0] > 0]
+    assert report.passed is False
+    assert report.counts["leaked"] == len(leaked) == 6
+    assert report.witnesses == [
+        {"kind": "nonspecific_point_outside_cluster_relaxation", "point": list(p)}
+        for p in leaked
+    ]
+
+
+def test_relaxation_comparison_names_a_cluster_function_not_supermodular(monkeypatch):
+    monkeypatch.setattr(verify, "is_supermodular", lambda m: False)
+    report = relaxation_comparison(G3)
+    assert report.passed is False
+    assert report.witnesses == [
+        {"kind": "cluster_function_not_supermodular", "set": G3.subset_key(c)}
+        for c in p2_masks(G3)
+    ]
+
+
+def test_relaxation_comparison_names_a_failed_strictness_witness(monkeypatch):
+    strictness_witness = verify._strictness_witness_n3
+
+    def weakened(ground):
+        alt, satisfies_cluster, _ = strictness_witness(ground)
+        return alt, satisfies_cluster, False
+
+    monkeypatch.setattr(verify, "_strictness_witness_n3", weakened)
+    report = relaxation_comparison(G3)
+    info = {
+        "vector": "u(T) = (-1)^|T|",
+        "satisfies_all_cluster_rows": True,
+        "violates_a_nonspecific_row": False,
+    }
+    assert report.passed is False
+    assert report.witnesses == [{"kind": "strictness_witness_failed", **info}]
+    assert report.payload == {"strictness_witness": info}
+
+
 # ---------------------------------------------------------------------------
 # bundled reference checks
 
@@ -981,6 +1031,106 @@ def test_fractional_check():
     report = example8_fractional_check()
     assert report.passed
     assert report.counts["integer_points"] == 11
+
+
+# each reference check is broken in one datum or helper: it must fail and
+# name the broken part in its witnesses
+
+
+def test_image_check_names_a_dropped_and_an_unreached_type(monkeypatch):
+    monkeypatch.setattr(verify, "IMAGE_TYPES_N3", IMAGE_TYPES_N3[1:] + ((3, 0, 0, 0),))
+    report = example5_image_check()
+    assert report.passed is False
+    assert report.witnesses == [
+        {"kind": "unexpected_image_type", "point": [0, 0, 0, 0]},
+        {"kind": "missing_image_type", "point": [3, 0, 0, 0]},
+    ]
+
+
+def test_image_check_names_a_violated_facet(monkeypatch):
+    # c(ab) <= 1 cuts every image point with c(ab) = 2 (and its permuted
+    # rows those with c(ac) or c(bc) = 2)
+    monkeypatch.setattr(verify, "FACET_TYPES_N3", FACET_TYPES_N3 + (((-1, 0, 0, 0), 1),))
+    report = example5_image_check()
+    assert report.passed is False
+    assert report.witnesses
+    for witness in report.witnesses:
+        assert witness["kind"] == "image_point_violates_facet"
+        *coeffs, const = witness["row"]
+        assert sorted(coeffs) == [-1, 0, 0, 0] and coeffs[3] == 0 and const == 1
+        assert witness["point"][coeffs.index(-1)] == 2
+    assert {(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0)} <= {
+        tuple(w["point"]) for w in report.witnesses
+    }
+
+
+def test_image_check_names_an_unreached_and_a_flat_vertex(monkeypatch):
+    # no digraph code reaches c(ab) = 3; (1, 0, 0, 0) is an image point, the
+    # midpoint of two vertices, with tight rows of rank 3
+    monkeypatch.setattr(verify, "VERTEX_TYPES_N3", VERTEX_TYPES_N3 + ((3, 0, 0, 0), (1, 0, 0, 0)))
+    report = example5_image_check()
+    assert report.passed is False
+    assert report.witnesses == [
+        {"kind": "vertex_not_in_image", "point": [3, 0, 0, 0]},
+        {"kind": "vertex_tight_rank_not_full", "point": [1, 0, 0, 0], "rank": 3},
+    ]
+
+
+def test_image_check_names_a_missing_midpoint(monkeypatch):
+    # the digraphs whose image is (1, 0, 0, 0) itself are dropped; its
+    # permutations keep the type in the image
+    digraphs = verify.enumerate_digraphs
+    quasi_characteristic_of = verify.quasi_characteristic_of
+
+    def without_midpoint(ground):
+        for g in digraphs(ground):
+            if quasi_characteristic_of(g).values != (1, 0, 0, 0):
+                yield g
+
+    monkeypatch.setattr(verify, "enumerate_digraphs", without_midpoint)
+    report = example5_image_check()
+    assert report.passed is False
+    assert report.witnesses == [{"kind": "midpoint_identity_failed"}]
+
+
+def test_example_5_prints_its_witness(capsys, monkeypatch):
+    monkeypatch.setattr(verify, "IMAGE_TYPES_N3", IMAGE_TYPES_N3[1:])
+    code = main(["example", "--id", "5"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert report["passed"] is False
+    assert report["witnesses"] == [{"kind": "unexpected_image_type", "point": [0, 0, 0, 0]}]
+
+
+def test_fractional_check_names_a_violated_row(monkeypatch):
+    # a probe row c(abc) <= 1 added to the system fails at c(abc) = 3/2
+    assemble_system = verify.assemble_system
+    probe = _c_row(G3, ((3, 1),), "<=", 1, "probe")
+
+    def with_probe(ground, framework, families):
+        system = assemble_system(ground, framework, families)
+        return ConstraintSystem(ground, framework, system.rows + (probe,))
+
+    monkeypatch.setattr(verify, "assemble_system", with_probe)
+    report = example8_fractional_check()
+    assert report.passed is False
+    assert report.witnesses == [{"kind": "fractional_point_violates_row", "row": "probe"}]
+
+
+def test_fractional_check_names_an_integer_scan_mismatch(monkeypatch):
+    # the kappa-specific rows alone hold at more than the 11 census points
+    scan = verify.lattice_scan
+
+    def without_cluster_rows(ground, framework, families, box):
+        return scan(ground, framework, ("kappa-specific",), box)
+
+    monkeypatch.setattr(verify, "lattice_scan", without_cluster_rows)
+    report = example8_fractional_check()
+    assert report.passed is False
+    (witness,) = report.witnesses
+    assert witness["kind"] == "integer_scan_mismatch"
+    assert witness["counts"]["satisfying"] > 11
+    assert report.counts["integer_points"] == witness["counts"]["satisfying"]
 
 
 @pytest.mark.parametrize("example_id", range(1, 9))
