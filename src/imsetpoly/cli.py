@@ -25,7 +25,9 @@ from .constraint import (
     ETA_FAMILIES,
     U_FAMILIES,
     DualVector,
+    _catalog_text,
     _dual_cone_violation,
+    _family_rows,
     assemble_system,
     conic_decompose,
     supermodular_rays,
@@ -235,8 +237,14 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_constraints(args) -> int:
-    system = assemble_system(_ground(args), args.framework, _families(args, args.framework))
-    _emit(system.to_lp() if args.format == "lp" else system.to_json_text(), args.out)
+    ground, framework = _ground(args), args.framework
+    families = _families(args, framework)
+    if args.format == "lp":
+        text = assemble_system(ground, framework, families).to_lp()
+    else:
+        # the JSON catalog is written as the rows are built, with no system held
+        text = _catalog_text(ground, framework, _family_rows(ground, framework, families))
+    _emit(text, args.out)
     return 0
 
 

@@ -12,6 +12,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from itertools import chain
 from json.encoder import encode_basestring as _quote
 from math import gcd, lcm
 from string import ascii_letters, digits
@@ -134,10 +135,7 @@ class ConstraintSystem:
         rows = tuple(self.rows)
         for row in rows:
             if row.framework != self.framework:
-                raise ValueError(
-                    f"row {row.tag!r} belongs to framework {row.framework!r}, "
-                    f"not {self.framework!r}"
-                )
+                raise _foreign_row(row, self.framework)
         object.__setattr__(self, "rows", rows)
 
     def __len__(self) -> int:
@@ -150,45 +148,12 @@ class ConstraintSystem:
         return all(row.holds_at(values) for row in self.rows)
 
     def to_json_text(self) -> str:
-        """The catalog as setfam._json_text prints it (sorted keys, indent 1,
-        non-ASCII kept), written straight from the rows.  The system's
-        distinct keys are rendered (subset_key or pair_key, which refuse a
-        key outside the universe) and ranked by their raw strings once, as
-        sort_keys orders them; each key keeps one table of its lines, by
-        value, each line rendered on its first use."""
-        names = {key: self._key_name(key) for key in {k for row in self.rows for k in row.coeffs}}
-        # a dict, not a list by mask: a list would read mask -1 as its last entry
-        rank = {key: r for r, key in enumerate(sorted(names, key=names.__getitem__))}
-        cells = {
-            key: _Rendered(lambda value, quoted=_quote(name): f'    {quoted}: "{value}"')
-            for key, name in names.items()
-        }
-        rows = []
-        for row in self.rows:
-            coeffs = row.coeffs
-            keys = sorted(coeffs, key=rank.__getitem__)
-            body = ",\n".join([cells[k][coeffs[k]] for k in keys])
-            coeffs_text = f"{{\n{body}\n   }}" if body else "{}"
-            rows.append(
-                f'  {{\n   "coeffs": {coeffs_text},\n   "rhs": "{row.rhs}",\n'
-                f'   "sense": {_quote(row.sense)},\n   "tag": {_quote(row.tag)}\n  }}'
-            )
-        labels = ",\n".join(["  " + _quote(x) for x in self.ground.labels])
-        return (
-            f'{{\n "framework": {_quote(self.framework)},\n "labels": [\n{labels}\n ],\n'
-            + (' "rows": [\n' + ",\n".join(rows) + "\n ]" if rows else ' "rows": []')
-            + "\n}\n"
-        )
+        """The catalog as setfam._json_text prints it (_catalog_text)."""
+        return _catalog_text(self.ground, self.framework, self.rows)
 
     def to_json_dict(self) -> dict:
         """The catalog as a JSON object, read back from to_json_text."""
         return json.loads(self.to_json_text())
-
-    def _key_name(self, key) -> str:
-        """The key as the JSON catalog names it (pair_key or subset_key)."""
-        if self.framework == "eta":
-            return self.ground.pair_key(*key)
-        return self.ground.subset_key(key)
 
     def _variable_name(self, key) -> str:
         if self.framework == "eta":
@@ -244,13 +209,58 @@ class ConstraintSystem:
                 )
             if variable in owners:
                 raise ValueError(
-                    f"coordinates {self._key_name(owners[variable])!r} and "
-                    f"{self._key_name(key)!r} share the LP variable name {variable!r}"
+                    f"coordinates {_key_name(self.ground, self.framework, owners[variable])!r} "
+                    f"and {_key_name(self.ground, self.framework, key)!r} share the LP "
+                    f"variable name {variable!r}"
                 )
             owners[variable] = key
             lines.append(f" {variable} free")
         lines.append("End")
         return "\n".join(lines) + "\n"
+
+
+def _foreign_row(row: LinearConstraint, framework: str) -> ValueError:
+    return ValueError(
+        f"row {row.tag!r} belongs to framework {row.framework!r}, not {framework!r}"
+    )
+
+
+def _key_name(ground: GroundSet, framework: str, key) -> str:
+    """The key as the JSON catalog names it (pair_key or subset_key, which
+    refuse a key outside the universe)."""
+    if framework == "eta":
+        return ground.pair_key(*key)
+    return ground.subset_key(key)
+
+
+def _catalog_text(ground: GroundSet, framework: str, rows: Iterable[LinearConstraint]) -> str:
+    """The catalog of the rows as setfam._json_text prints it (sorted keys,
+    indent 1, non-ASCII kept), written as the rows are read, once and in
+    order, into one list of parts joined at the end; a row of another
+    framework is refused.  Each key is named (_key_name) on its first use
+    and keeps one table of its lines, by value.  A row's keys are sorted by
+    their names, as sort_keys orders them: GroundSet refuses ',' and '|' in
+    a label, so distinct keys have distinct names."""
+    names = _Rendered(lambda key: _key_name(ground, framework, key))
+    cells = _Rendered(
+        lambda key: _Rendered(lambda value, quoted=_quote(names[key]): f'    {quoted}: "{value}"')
+    )
+    labels = ",\n".join(["  " + _quote(x) for x in ground.labels])
+    parts = [f'{{\n "framework": {_quote(framework)},\n "labels": [\n{labels}\n ],\n "rows": [']
+    sep = "\n"
+    for row in rows:
+        if row.framework != framework:
+            raise _foreign_row(row, framework)
+        coeffs = row.coeffs
+        body = ",\n".join([cells[k][coeffs[k]] for k in sorted(coeffs, key=names.__getitem__)])
+        coeffs_text = f"{{\n{body}\n   }}" if body else "{}"
+        parts.append(
+            f'{sep}  {{\n   "coeffs": {coeffs_text},\n   "rhs": "{row.rhs}",\n'
+            f'   "sense": {_quote(row.sense)},\n   "tag": {_quote(row.tag)}\n  }}'
+        )
+        sep = ",\n"
+    parts.append("\n ]\n}\n" if len(parts) > 1 else "]\n}\n")
+    return "".join(parts)
 
 
 def _integer_row(row: LinearConstraint) -> tuple[dict, int]:
@@ -892,17 +902,24 @@ def _family_builders(framework: str, families: Sequence[str]):
         yield family, builders[family]
 
 
+def _family_rows(
+    ground: GroundSet, framework: str, families: Sequence[str]
+) -> Iterator[LinearConstraint]:
+    """The rows of the requested families of a framework, in the order
+    given, as one iterator; every family's refusal (_family_builders) is
+    raised on the call, before any row is built."""
+    builders = _family_builders(framework, families)
+    return chain.from_iterable([build(ground) for _family, build in builders])
+
+
 def assemble_system(
     ground: GroundSet,
     framework: str,
     families: Sequence[str],
 ) -> ConstraintSystem:
-    """Build the requested constraint families of a framework, in the order
-    given, with the refusals of _family_builders; every family's refusal
-    is raised before any row is built.
-    """
-    parts = [build(ground) for _family, build in _family_builders(framework, families)]
-    return ConstraintSystem(ground, framework, tuple(row for part in parts for row in part))
+    """The system of the requested families of a framework, in the order
+    given (_family_rows: every refusal comes before any row is built)."""
+    return ConstraintSystem(ground, framework, tuple(_family_rows(ground, framework, families)))
 
 
 def eta_system(ground: GroundSet, families: Sequence[str] = ETA_FAMILIES) -> ConstraintSystem:

@@ -724,7 +724,8 @@ def example5_image_check() -> VerificationReport:
     t0 = time.perf_counter()
     ground = GroundSet.of_size(3)
     images = set()
-    for g in enumerate_digraphs(ground):
+    digraphs = 0
+    for digraphs, g in enumerate(enumerate_digraphs(ground), start=1):
         images.add(quasi_characteristic_of(g).values)
     reduced = {_canonical_image(p) for p in images}
     witnesses = []
@@ -777,7 +778,7 @@ def example5_image_check() -> VerificationReport:
         experiment="image-of-digraph-codes",
         parameters={"n": 3, "labels": list(ground.labels)},
         counts={
-            "digraphs": 64,
+            "digraphs": digraphs,
             "distinct_images": len(images),
             "image_types": len(reduced),
             "expanded_rows": len(rows),

@@ -1,13 +1,16 @@
 """Command-line interface: exit codes, output formats, and file round trips."""
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -331,6 +334,66 @@ def test_n5_catalog_digest(capsys, command):
     code, out, _ = run(capsys, *command.split())
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == N5_CATALOG_DIGESTS[command]
+
+
+def test_json_catalog_is_written_without_a_system(capsys, monkeypatch):
+    # the JSON catalog is written from the family builders' rows as they are
+    # read; only the LP export assembles a ConstraintSystem
+    golden = Path(__file__).parent / "golden"
+    calls = []
+
+    def refuse(*args):
+        calls.append(args)
+        raise AssertionError("assemble_system called")
+
+    monkeypatch.setattr(cli, "assemble_system", refuse)
+    for framework in ("c", "u"):
+        code, out, _ = run(capsys, "constraints", "--n", "4", "--framework", framework)
+        assert code == 0
+        assert out == (golden / f"constraints-n4-{framework}-json.out").read_text(encoding="utf-8")
+    assert calls == []
+    with pytest.raises(AssertionError, match="^assemble_system called$"):
+        main(["constraints", "--n", "3", "--framework", "c", "--format", "lp"])
+    assert [args[1:] for args in calls] == [("c", ("kappa-specific", "cluster-c"))]
+
+
+class _ListStdout:
+    """A stdout that keeps each written str as it is.  io.StringIO copies
+    the text into a buffer of its own on CPython 3.12 and later (about 2.5
+    bytes a character), which a peak reading would count as the program's."""
+
+    def __init__(self):
+        self.parts = []
+
+    def write(self, text):
+        self.parts.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_n5_catalog_peak_memory_is_a_few_times_its_text():
+    # the n = 5 u catalog is about 3.0 M characters, one of them '∅', so the
+    # joined text is stored at 2 bytes a character (about 6 MB) next to its
+    # row parts (about 3 MB) at the join: 3.3 times the length, the walk's
+    # state and the key tables included.  4.5 times leaves a third of that
+    # as headroom.  A writer that holds every row, ranks the keys in a pass
+    # of its own and copies the text again peaks near 7.6 times the length
+    argv = "constraints --n 5 --framework u --families equality,specific,cluster-u".split()
+    for traced in (False, True):
+        # the first run fills the package's caches, which stay for later runs
+        out = _ListStdout()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            if traced:
+                tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    length = sum(map(len, out.parts))
+    assert peak < 4.5 * length, (peak, length)
 
 
 def test_matrix_json_and_csv(capsys):

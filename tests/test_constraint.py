@@ -11,6 +11,7 @@ from imsetpoly.constraint import (
     ConstraintSystem,
     DualVector,
     LinearConstraint,
+    _catalog_text,
     assemble_system,
     char_specific_constraint,
     check_dual_cone,
@@ -139,6 +140,17 @@ def test_system_json_refuses_an_out_of_range_mask():
         for export in (system.to_json_text, system.to_json_dict, system.to_lp):
             with pytest.raises(ValueError, match=rf"^mask {mask} outside the 3-variable universe$"):
                 export()
+
+
+def test_a_row_of_another_framework_is_refused():
+    pairs = (("u", "kept"), ("c", "stray"))
+    rows = tuple(LinearConstraint(framework, {3: 1}, ">=", 0, tag) for framework, tag in pairs)
+    message = r"^row 'stray' belongs to framework 'c', not 'u'$"
+    with pytest.raises(ValueError, match=message):
+        ConstraintSystem(G3, "u", rows)
+    # the catalog writer reads rows that no system has checked
+    with pytest.raises(ValueError, match=message):
+        _catalog_text(G3, "u", iter(rows))
 
 
 def test_system_json_text_matches_the_json_module():

@@ -1093,6 +1093,19 @@ def test_image_check_names_a_missing_midpoint(monkeypatch):
     assert report.witnesses == [{"kind": "midpoint_identity_failed"}]
 
 
+def test_image_check_counts_the_digraphs_it_enumerated(monkeypatch):
+    # the count is the codes read, not the 64 there are at n = 3
+    digraphs = verify.enumerate_digraphs
+
+    def first_ten(ground):
+        return itertools.islice(digraphs(ground), 10)
+
+    monkeypatch.setattr(verify, "enumerate_digraphs", first_ten)
+    assert example5_image_check().counts["digraphs"] == 10
+    monkeypatch.undo()
+    assert example5_image_check().counts["digraphs"] == 64
+
+
 def test_example_5_prints_its_witness(capsys, monkeypatch):
     monkeypatch.setattr(verify, "IMAGE_TYPES_N3", IMAGE_TYPES_N3[1:])
     code = main(["example", "--id", "5"])
