@@ -28,7 +28,7 @@ from .constraint import (
     _catalog_text,
     _dual_cone_violation,
     _family_rows,
-    assemble_system,
+    _lp_text,
     conic_decompose,
     supermodular_rays,
     y_of_class,
@@ -239,12 +239,9 @@ def _cmd_encode(args) -> int:
 def _cmd_constraints(args) -> int:
     ground, framework = _ground(args), args.framework
     families = _families(args, framework)
-    if args.format == "lp":
-        text = assemble_system(ground, framework, families).to_lp()
-    else:
-        # the JSON catalog is written as the rows are built, with no system held
-        text = _catalog_text(ground, framework, _family_rows(ground, framework, families))
-    _emit(text, args.out)
+    # either format is written as the rows are built, with no system held
+    write = _lp_text if args.format == "lp" else _catalog_text
+    _emit(write(ground, framework, _family_rows(ground, framework, families)), args.out)
     return 0
 
 

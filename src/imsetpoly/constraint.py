@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -44,6 +45,8 @@ SENSES = {">=": operator.ge, "<=": operator.le, "=": operator.eq}
 
 # the characters of an LP-format (CPLEX) name
 _LP_NAME_CHARS = frozenset(ascii_letters + digits + "!\"#$%&()/,.;?@_`'{}|~")
+# the characters of a tag that an LP row name writes as '_'
+_LP_ROW_OTHER = re.compile("[^A-Za-z0-9]")
 
 
 def _exact(value) -> int | Fraction:
@@ -106,7 +109,8 @@ class LinearConstraint:
 
     def __hash__(self) -> int:
         # coeffs is a dict; hash its items in key order so equal rows agree
-        items = tuple(sorted_items(self.coeffs))
+        # (a row's keys are all masks or all pairs, so they sort)
+        items = tuple(sorted(self.coeffs.items()))
         return hash((self.framework, items, self.sense, self.rhs, self.tag))
 
     @property
@@ -155,68 +159,9 @@ class ConstraintSystem:
         """The catalog as a JSON object, read back from to_json_text."""
         return json.loads(self.to_json_text())
 
-    def _variable_name(self, key) -> str:
-        if self.framework == "eta":
-            i, b = key
-            return f"eta_{self.ground.labels[i]}_{_lp_set(self.ground, b)}"
-        return f"{self.framework}_{_lp_set(self.ground, key)}"
-
     def to_lp(self) -> str:
-        """LP-format text export; every variable is declared free.
-
-        A row is named after its tag, each character other than an ASCII
-        letter or digit read as '_', and prefixed with 'r' when that leaves it
-        empty or starting with a digit; a name already taken gets the next
-        free suffix _1, _2, ...  A row with fractions is scaled to integers
-        (_integer_row).  A system whose distinct coordinates do not get
-        distinct variable names made of _LP_NAME_CHARS alone is refused."""
-        lines = [f"\\ constraint system export (framework {self.framework})"]
-        lines.append("Minimize")
-        lines.append(" obj: 0")
-        lines.append("Subject To")
-        taken: set[str] = set()
-        suffixes: dict[str, int] = {}
-        # variable names in order of first use
-        var = _Rendered(self._variable_name)
-        for row in self.rows:
-            base = "".join(ch if ch.isascii() and ch.isalnum() else "_" for ch in row.tag)
-            if not base or base[0] in digits:
-                base = "r" + base
-            name = base
-            while name in taken:
-                suffixes[base] = suffixes.get(base, 0) + 1
-                name = f"{base}_{suffixes[base]}"
-            taken.add(name)
-            coeffs, rhs = _integer_row(row)
-            if not coeffs:
-                lines.append(f"\\ vacuous row {name}: 0 {row.sense} {rhs}")
-                continue
-            terms = []
-            for key, coef in sorted_items(coeffs):
-                text = str(coef)
-                if text[0] == "-":
-                    terms.append(f"- {text[1:]} {var[key]}")
-                else:
-                    terms.append(f"+ {text} {var[key]}")
-            body = " ".join(terms).lstrip("+ ")
-            lines.append(f" {name}: {body} {row.sense} {rhs}")
-        lines.append("Bounds")
-        owners: dict[str, object] = {}
-        for key, variable in var.items():
-            if not _LP_NAME_CHARS.issuperset(variable):
-                raise ValueError(
-                    f"LP variable name {variable!r} holds a character LP names may not hold"
-                )
-            if variable in owners:
-                raise ValueError(
-                    f"coordinates {_key_name(self.ground, self.framework, owners[variable])!r} "
-                    f"and {_key_name(self.ground, self.framework, key)!r} share the LP "
-                    f"variable name {variable!r}"
-                )
-            owners[variable] = key
-            lines.append(f" {variable} free")
-        lines.append("End")
-        return "\n".join(lines) + "\n"
+        """LP-format text export of the system's rows (_lp_text)."""
+        return _lp_text(self.ground, self.framework, self.rows)
 
 
 def _foreign_row(row: LinearConstraint, framework: str) -> ValueError:
@@ -263,6 +208,73 @@ def _catalog_text(ground: GroundSet, framework: str, rows: Iterable[LinearConstr
     return "".join(parts)
 
 
+def _lp_text(ground: GroundSet, framework: str, rows: Iterable[LinearConstraint]) -> str:
+    """LP-format text export of the rows, read once and in order; a row of
+    another framework is refused.  Every variable is declared free.
+
+    A row is named after its tag, each character other than an ASCII
+    letter or digit read as '_', and prefixed with 'r' when that leaves it
+    empty or starting with a digit; a name already taken gets the next
+    free suffix _1, _2, ...  A row with fractions is scaled to integers
+    (_integer_row), and its terms are written in key order.  Each key's
+    variable is named on its first use and keeps one table of its term
+    texts, by value.  Rows whose distinct coordinates do not get distinct
+    variable names made of _LP_NAME_CHARS alone are refused."""
+    # variable names in order of first use
+    var = _Rendered(lambda key: _variable_name(ground, framework, key))
+    terms = _Rendered(
+        lambda key: _Rendered(
+            lambda coef, name=var[key]: f"- {-coef} {name}" if coef < 0 else f"+ {coef} {name}"
+        )
+    )
+    lines = [
+        f"\\ constraint system export (framework {framework})", "Minimize", " obj: 0", "Subject To"
+    ]
+    taken: set[str] = set()
+    suffixes: dict[str, int] = {}
+    for row in rows:
+        if row.framework != framework:
+            raise _foreign_row(row, framework)
+        base = _LP_ROW_OTHER.sub("_", row.tag)
+        if not base or base[0] in digits:
+            base = "r" + base
+        name = base
+        while name in taken:
+            suffixes[base] = suffixes.get(base, 0) + 1
+            name = f"{base}_{suffixes[base]}"
+        taken.add(name)
+        coeffs, rhs = _integer_row(row)
+        if not coeffs:
+            lines.append(f"\\ vacuous row {name}: 0 {row.sense} {rhs}")
+            continue
+        body = " ".join([terms[key][coeffs[key]] for key in sorted(coeffs)]).lstrip("+ ")
+        lines.append(f" {name}: {body} {row.sense} {rhs}")
+    lines.append("Bounds")
+    owners: dict[str, object] = {}
+    for key, variable in var.items():
+        if not _LP_NAME_CHARS.issuperset(variable):
+            raise ValueError(
+                f"LP variable name {variable!r} holds a character LP names may not hold"
+            )
+        if variable in owners:
+            raise ValueError(
+                f"coordinates {_key_name(ground, framework, owners[variable])!r} "
+                f"and {_key_name(ground, framework, key)!r} share the LP "
+                f"variable name {variable!r}"
+            )
+        owners[variable] = key
+        lines.append(f" {variable} free")
+    lines.append("End\n")
+    return "\n".join(lines)
+
+
+def _variable_name(ground: GroundSet, framework: str, key) -> str:
+    if framework == "eta":
+        i, b = key
+        return f"eta_{ground.labels[i]}_{_lp_set(ground, b)}"
+    return f"{framework}_{_lp_set(ground, key)}"
+
+
 def _integer_row(row: LinearConstraint) -> tuple[dict, int]:
     """The row's coefficients and right-hand side multiplied by the lcm of
     their denominators, so that all are ints; a row of ints as it is."""
@@ -282,14 +294,6 @@ class _Rendered(dict):
     def __missing__(self, key):
         text = self[key] = self.render(key)
         return text
-
-
-def sorted_items(coeffs: Mapping):
-    def order(item):
-        key = item[0]
-        return key if isinstance(key, tuple) else (key,)
-
-    return sorted(coeffs.items(), key=order)
 
 
 def _lp_set(ground: GroundSet, mask: int) -> str:
@@ -480,11 +484,10 @@ def _grow_measure(mu: dict[int, int], m: int) -> dict[int, int]:
             grown[t] = w
         else:
             del grown[t]
-    w = get(m, 0) + 1
-    if w:
-        grown[m] = w
-    else:
-        del grown[m]
+    # m joins the antichain A, in the walk or in a walk item's fold, so m lies
+    # outside the superset closure U of A: the sum of mu_A over the subsets
+    # of m is 1_U(m) = 0, and mu_A(m) = 0, so the loop leaves nothing at m
+    grown[m] = 1
     return grown
 
 

@@ -39,13 +39,6 @@ class RatVector:
     def __len__(self) -> int:
         return len(self.values)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "entries": {
-                lab: str(v) for lab, v in zip(self.labels, self.values) if v
-            }
-        }
-
 
 @dataclass(frozen=True)
 class IntMatrix:

@@ -19,9 +19,9 @@ from math import prod
 
 from .constraint import (
     _C_TWINS,
-    ConstraintSystem,
     LinearConstraint,
     _family_builders,
+    _family_rows,
     _integer_row,
     assemble_system,
     cluster_constraint_u,
@@ -218,31 +218,35 @@ def census_equivalence_classes(ground: GroundSet) -> VerificationReport:
 # compiled row evaluation
 
 
-def _compile_rows(system: ConstraintSystem):
-    """Compile the rows of a 'c' system to lanes (a, r, tag), each reading
+def _compile_rows(ground: GroundSet, family: str, rows):
+    """Compile 'c' rows to lanes (a, r, tag), each reading
     sum of a[k] c_k >= r  with integer a, keyed by index into the ascending
-    list of subsets with >= 2 members, and integer r.  A '<=' row is
-    negated, an '=' row gives both halves, and a row with rational entries
-    is scaled to integers once (constraint._integer_row).  Lanes follow the
-    system's row order, a row's lanes adjacent, so the first violated lane
-    at a point names the first violated row.  A key outside the coordinates
-    is refused with the row's tag; a 'u' row reaches lanes through its c
-    twin (_family_lanes).
+    list of subsets with >= 2 members, and integer r, and count the rows.
+    A '<=' row is negated, an '=' row gives both halves, and a row with
+    rational entries is scaled to integers once (constraint._integer_row).
+    Each lane is tagged family:<the part of its row's tag after ':'>.
+    Lanes follow the rows' order, read once, a row's lanes adjacent, so the
+    first violated lane at a point names the first violated row.  A row of
+    another framework is refused, and so is a key outside the coordinates,
+    with the row's tag; a 'u' row reaches lanes through its c twin
+    (_family_lanes).  Returns the lanes and the number of rows.
     """
-    if system.framework != "c":
-        raise ValueError(f"lanes compile from 'c' rows only, not {system.framework!r} rows")
-    index = p2_index(system.ground)
+    index = p2_index(ground)
     lanes = []
-    for row in system.rows:
+    count = 0
+    for count, row in enumerate(rows, 1):
+        if row.framework != "c":
+            raise ValueError(f"lanes compile from 'c' rows only, not {row.framework!r} rows")
         if not row.coeffs.keys() <= index.keys():
             raise ValueError(f"row {row.tag!r} has a key outside the 'c' coordinates")
         entries, rhs = _integer_row(row)
         terms = {index[m]: v for m, v in entries.items()}
+        tag = f"{family}:{row.tag.partition(':')[2]}"
         if row.sense != "<=":
-            lanes.append((terms, rhs, row.tag))
+            lanes.append((terms, rhs, tag))
         if row.sense != ">=":
-            lanes.append(({k: -v for k, v in terms.items()}, -rhs, row.tag))
-    return lanes
+            lanes.append(({k: -v for k, v in terms.items()}, -rhs, tag))
+    return lanes, count
 
 
 def _family_lanes(ground: GroundSet, framework: str, families, walk=None):
@@ -262,13 +266,9 @@ def _family_lanes(ground: GroundSet, framework: str, families, walk=None):
     ]
     lanes = []
     sizes = {}
-    for family, part in parts:
-        rows = tuple(part)
-        lanes += [
-            (a, r, f"{family}:{tag.partition(':')[2]}")
-            for a, r, tag in _compile_rows(ConstraintSystem(ground, "c", rows))
-        ]
-        sizes[family] = len(rows)
+    for family, rows in parts:
+        family_lanes, sizes[family] = _compile_rows(ground, family, rows)
+        lanes += family_lanes
     return lanes, sizes
 
 
@@ -571,9 +571,10 @@ def _strictness_witness_n3(ground: GroundSet) -> tuple[StandardImset, bool, bool
     row, and whether it violates a nonspecific row of the builtin rays."""
     alt = StandardImset(ground, tuple((-1) ** t.bit_count() for t in range(1 << ground.n)))
     cluster, nonspec = (
-        assemble_system(ground, "u", (family,)) for family in ("cluster-u", "nonspecific")
+        all(row.holds_at(alt.values) for row in _family_rows(ground, "u", (family,)))
+        for family in ("cluster-u", "nonspecific")
     )
-    return alt, cluster.satisfied_by(alt.values), not nonspec.satisfied_by(alt.values)
+    return alt, cluster, not nonspec
 
 
 def relaxation_comparison(

@@ -17,7 +17,7 @@ import pytest
 
 from imsetpoly import cli
 from imsetpoly.cli import main
-from imsetpoly.constraint import ConeViolationError, y_of_class
+from imsetpoly.constraint import ConeViolationError, ConstraintSystem, y_of_class
 from imsetpoly.exactlin import (
     IntMatrix,
     build_matrix_A,
@@ -337,24 +337,24 @@ def test_n5_catalog_digest(capsys, command):
 
 
 def test_json_catalog_is_written_without_a_system(capsys, monkeypatch):
-    # the JSON catalog is written from the family builders' rows as they are
-    # read; only the LP export assembles a ConstraintSystem
+    # both formats are written from the family builders' rows as they are
+    # read: no ConstraintSystem is built, so one that refuses to be built
+    # changes no byte of either
     golden = Path(__file__).parent / "golden"
-    calls = []
 
-    def refuse(*args):
-        calls.append(args)
-        raise AssertionError("assemble_system called")
+    def refuse(self):
+        raise AssertionError("ConstraintSystem built")
 
-    monkeypatch.setattr(cli, "assemble_system", refuse)
-    for framework in ("c", "u"):
-        code, out, _ = run(capsys, "constraints", "--n", "4", "--framework", framework)
-        assert code == 0
-        assert out == (golden / f"constraints-n4-{framework}-json.out").read_text(encoding="utf-8")
-    assert calls == []
-    with pytest.raises(AssertionError, match="^assemble_system called$"):
-        main(["constraints", "--n", "3", "--framework", "c", "--format", "lp"])
-    assert [args[1:] for args in calls] == [("c", ("kappa-specific", "cluster-c"))]
+    monkeypatch.setattr(ConstraintSystem, "__post_init__", refuse)
+    with pytest.raises(AssertionError, match="^ConstraintSystem built$"):
+        ConstraintSystem(G3, "c", ())
+    for n, fmt in (("3", "lp"), ("4", "json")):
+        for framework in ("c", "u"):
+            argv = ["constraints", "--n", n, "--framework", framework, "--format", fmt]
+            code, out, _ = run(capsys, *argv)
+            assert code == 0, argv
+            recorded = golden / f"constraints-n{n}-{framework}-{fmt}.out"
+            assert out == recorded.read_text(encoding="utf-8"), argv
 
 
 class _ListStdout:
@@ -379,21 +379,28 @@ def test_n5_catalog_peak_memory_is_a_few_times_its_text():
     # row parts (about 3 MB) at the join: 3.3 times the length, the walk's
     # state and the key tables included.  4.5 times leaves a third of that
     # as headroom.  A writer that holds every row, ranks the keys in a pass
-    # of its own and copies the text again peaks near 7.6 times the length
-    argv = "constraints --n 5 --framework u --families equality,specific,cluster-u".split()
-    for traced in (False, True):
-        # the first run fills the package's caches, which stay for later runs
-        out = _ListStdout()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            if traced:
-                tracemalloc.start()
-            try:
-                assert main(argv) == 0
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-    length = sum(map(len, out.parts))
-    assert peak < 4.5 * length, (peak, length)
+    # of its own and copies the text again peaks near 7.6 times the length.
+    # The LP exports are ASCII, one byte a character, and written as one
+    # list of lines joined once: about 3.5 (c) and 3.1 (u) times the length,
+    # under a bound of 6.  An export that holds the system of its rows and
+    # copies the joined text again peaks near 10.6 (c) and 9.2 (u) times
+    u_argv = "constraints --n 5 --framework u --families equality,specific,cluster-u".split()
+    c_argv = "constraints --n 5 --framework c".split()
+    cases = ((u_argv, 4.5), (c_argv + ["--format", "lp"], 6), (u_argv + ["--format", "lp"], 6))
+    for argv, bound in cases:
+        for traced in (False, True):
+            # the first run fills the package's caches, which stay for later runs
+            out = _ListStdout()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                if traced:
+                    tracemalloc.start()
+                try:
+                    assert main(argv) == 0
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+        length = sum(map(len, out.parts))
+        assert peak < bound * length, (argv, peak, length)
 
 
 def test_matrix_json_and_csv(capsys):

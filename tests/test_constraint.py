@@ -12,6 +12,7 @@ from imsetpoly.constraint import (
     DualVector,
     LinearConstraint,
     _catalog_text,
+    _lp_text,
     assemble_system,
     char_specific_constraint,
     check_dual_cone,
@@ -148,9 +149,10 @@ def test_a_row_of_another_framework_is_refused():
     message = r"^row 'stray' belongs to framework 'c', not 'u'$"
     with pytest.raises(ValueError, match=message):
         ConstraintSystem(G3, "u", rows)
-    # the catalog writer reads rows that no system has checked
-    with pytest.raises(ValueError, match=message):
-        _catalog_text(G3, "u", iter(rows))
+    # the catalog and LP writers read rows that no system has checked
+    for write in (_catalog_text, _lp_text):
+        with pytest.raises(ValueError, match=message):
+            write(G3, "u", iter(rows))
 
 
 def test_system_json_text_matches_the_json_module():

@@ -12,6 +12,7 @@ in output shows up as a failing test, not as a new recording.
 import contextlib
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -24,13 +25,16 @@ CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
 
 
 def replay(case):
-    # input files are named relative to the corpus directory
-    argv = [
-        str(GOLDEN / a) if a.startswith("inputs/") else a for a in case["argv"].split()
-    ]
+    # input files are named relative to the corpus directory, where the
+    # command runs, so an error line that names one reads the same anywhere
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+    cwd = os.getcwd()
+    os.chdir(GOLDEN)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(case["argv"].split())
+    finally:
+        os.chdir(cwd)
     return code, out.getvalue(), err.getvalue()
 
 

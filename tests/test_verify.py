@@ -427,7 +427,7 @@ def test_u_rows_pulled_back_match_the_c_rows():
         lanes = [
             (a, r, u_row.tag)
             for u_row, c_row in zip(u_rows, c_rows, strict=True)
-            for a, r, _tag in _compiled(ground, "c", [c_row])
+            for a, r, _tag in _compiled(ground, [c_row])
         ]
         _assert_lanes_read_the_u_rows(ground, u_rows, lanes)
 
@@ -502,31 +502,39 @@ def test_compile_rows_refuses_a_key_outside_the_coordinates():
     for key in (1, 9):
         row = LinearConstraint("c", {3: 1, key: 5}, ">=", 1, f"bad-{key}")
         with pytest.raises(ValueError, match=f"'bad-{key}'"):
-            _compiled(G3, "c", [base, row])
-    assert _compiled(G3, "c", [base]) == [({0: 1}, 0, "kept")]
-    # a u system, with any keys or none, is refused: u rows reach lanes
-    # through their c twins only
-    for rows in ([], [LinearConstraint("u", {3: 1}, ">=", 0, "u")], [
-        LinearConstraint("u", {3: 1, 8: 5}, ">=", 1, "bad-8")
-    ]):
+            _compiled(G3, [base, row])
+    assert _compiled(G3, [base]) == [({0: 1}, 0, "kept")]
+    # a u row, with any keys, is refused where it is read, after the c rows
+    # before it: u rows reach lanes through their c twins only
+    for row in (
+        LinearConstraint("u", {3: 1}, ">=", 0, "u"),
+        LinearConstraint("u", {3: 1, 8: 5}, ">=", 1, "bad-8"),
+    ):
         with pytest.raises(ValueError, match="^lanes compile from 'c' rows only, not 'u' rows$"):
-            _compiled(G3, "u", rows)
+            _compile_rows(G3, "c", [base, row])
+    # no rows give no lanes
+    assert _compile_rows(G3, "c", []) == ([], 0)
 
 
 def test_compile_rows_keeps_the_system_order():
-    # lanes follow the rows as the system lists them, so the first violated
-    # lane names the first violated row, not a later row of smaller support
+    # lanes follow the rows as they are read, so the first violated lane
+    # names the first violated row, not a later row of smaller support; each
+    # lane's tag takes the family's name
     rows = [
-        _c_row(G3, ((0, 1), (1, 1), (3, -1)), ">=", 0, "three"),
-        _c_row(G3, ((2, 1),), "=", 0, "one"),
+        _c_row(G3, ((0, 1), (1, 1), (3, -1)), ">=", 0, "row:three"),
+        _c_row(G3, ((2, 1),), "=", 0, "row:one"),
     ]
-    assert [tag for _a, _r, tag in _compiled(G3, "c", rows)] == ["three", "one", "one"]
+    lanes, count = _compile_rows(G3, "fam", iter(rows))
+    assert [tag for _a, _r, tag in lanes] == ["fam:three", "fam:one", "fam:one"]
+    assert count == 2
 
 
-def _compiled(ground, framework, rows):
-    # the lanes of a system of the given rows, by the compiler as imported,
-    # not as a test may have patched it
-    return _compile_rows(ConstraintSystem(ground, framework, tuple(rows)))
+def _compiled(ground, rows):
+    # the lanes of the given rows, each tagged with its row's whole tag, by
+    # the compiler as imported, not as a test may have patched it
+    return [
+        (a, r, row.tag) for row in rows for a, r, _tag in _compile_rows(ground, "", [row])[0]
+    ]
 
 
 def _c_row(ground, terms, sense, rhs, tag):
@@ -604,7 +612,7 @@ def test_pruned_search_on_random_rows():
         # the oracle reads the rows themselves, in exact rationals
         system = ConstraintSystem(G3, "c", tuple(rows))
         expected = {p for p in box.points() if system.satisfied_by(dict(zip(masks, p)))}
-        assert _satisfying_points(_compiled(G3, "c", rows), box) == expected, rows
+        assert _satisfying_points(_compiled(G3, rows), box) == expected, rows
 
 
 def test_pruned_search_far_from_zero():
@@ -615,7 +623,7 @@ def test_pruned_search_far_from_zero():
     box = EnumerationBox(g2, (-1000,), (-990,))
 
     def points(terms, sense, rhs):
-        return _satisfying_points(_compiled(g2, "c", [_c_row(g2, terms, sense, rhs, "row")]), box)
+        return _satisfying_points(_compiled(g2, [_c_row(g2, terms, sense, rhs, "row")]), box)
 
     assert points(((0, 1),), ">=", 990) == set()
     assert points(((0, -1),), ">=", 995) == {(v,) for v in range(-1000, -994)}
@@ -675,7 +683,7 @@ def test_pruned_search_with_a_coordinate_fixed_at_zero():
     box = EnumerationBox(G3, (0, 0, 0, 0), (1, 1, 1, 0))
     row = _c_row(G3, ((0, 1), (3, 1000)), ">=", 1, "row")
     expected = {p for p in box.points() if p[0] >= 1}
-    assert _satisfying_points(_compiled(G3, "c", [row]), box) == expected
+    assert _satisfying_points(_compiled(G3, [row]), box) == expected
 
 
 def test_term_free_rows_ride_the_lanes():
@@ -687,7 +695,7 @@ def test_term_free_rows_ride_the_lanes():
     row = _c_row(G3, ((0, 1), (3, -1)), ">=", 0, "row")
 
     def points(*rows):
-        return _satisfying_points(_compiled(G3, "c", rows), box)
+        return _satisfying_points(_compiled(G3, rows), box)
 
     kept = points(row)
     assert len(kept) == 12
@@ -770,7 +778,7 @@ def test_soundness_witnesses_name_the_first_violated_row(monkeypatch):
     # structure with an a-b edge; the report must match a row-by-row check
     from imsetpoly import verify
 
-    probe = _compiled(G4, "c", [_c_row(G4, ((0, 1),), "<=", 0, "probe")])
+    probe = _compiled(G4, [_c_row(G4, ((0, 1),), "<=", 0, "probe")])
     family_lanes = verify._family_lanes
 
     def appended(*args):
@@ -854,7 +862,7 @@ def test_sliced_soundness_matches_the_per_point_route(monkeypatch):
             split = rng.randint(0, len(probes))
             # each probe compiled on its own, so the probes keep their order
             before, after = (
-                [lane for probe in part for lane in _compiled(ground, "c", [probe])]
+                [lane for probe in part for lane in _compiled(ground, [probe])]
                 for part in (probes[:split], probes[split:])
             )
             used = []
@@ -963,7 +971,7 @@ def test_relaxation_comparison_refuses_a_box_over_another_ground_set():
 def test_relaxation_comparison_names_a_leaked_point(monkeypatch):
     # a probe lane c(a,b) <= 0 spliced into the cluster-u lanes cuts the
     # census points with an a-b edge out of the cluster relaxation only
-    probe = _compiled(G3, "c", [_c_row(G3, ((0, 1),), "<=", 0, "probe")])
+    probe = _compiled(G3, [_c_row(G3, ((0, 1),), "<=", 0, "probe")])
     family_lanes = verify._family_lanes
 
     def spliced(ground, framework, families, walk=None):
