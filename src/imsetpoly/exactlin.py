@@ -1,6 +1,6 @@
 """Exact integer linear algebra: the transformation matrices between the
 three encodings, Hermite normal form, minor scans, and a fraction-free
-Phase-I simplex for nonnegative feasibility.
+revised Phase-I simplex for nonnegative feasibility.
 
 Matrices carry explicit row and column label tables so that every entry can
 be traced back to the subset or conditional pair indexing it.
@@ -13,10 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
+from operator import index
 from typing import Sequence
 
 from .encode import StandardImset
-from .setfam import GroundSet, eta_pairs, p1_masks
+from .setfam import GroundSet, eta_pairs, p1_masks, subset_key_table
 
 MINOR_BUDGET = 10**7
 
@@ -49,14 +50,26 @@ class IntMatrix:
     col_labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        entries = tuple(tuple(int(x) for x in row) for row in self.entries)
-        rows = len(self.row_labels)
-        cols = len(self.col_labels)
-        if len(entries) != rows or any(len(r) != cols for r in entries):
+        row_labels = tuple(self.row_labels)
+        col_labels = tuple(self.col_labels)
+        cols = len(col_labels)
+        if len(self.entries) != len(row_labels) or any(len(r) != cols for r in self.entries):
             raise ValueError("entry grid does not match the label tables")
+        try:
+            entries = tuple(tuple(map(index, row)) for row in self.entries)
+        except TypeError:
+            label, col, x = next(
+                (label, col, x)
+                for label, row in zip(row_labels, self.entries)
+                for col, x in zip(col_labels, row)
+                if not hasattr(type(x), "__index__")
+            )
+            raise ValueError(
+                f"entry {x!r} at row {label!r}, column {col!r} is not an integer"
+            ) from None
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "row_labels", tuple(self.row_labels))
-        object.__setattr__(self, "col_labels", tuple(self.col_labels))
+        object.__setattr__(self, "row_labels", row_labels)
+        object.__setattr__(self, "col_labels", col_labels)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -177,21 +190,23 @@ def _row_rank(rows: list[tuple]) -> int:
 def build_matrix_A(ground: GroundSet) -> IntMatrix:
     """The eta-to-standard-imset matrix: rows indexed by non-empty subsets T,
     columns by pairs (i|B); on singleton rows the entry marks i, on larger
-    rows it is [T = B+i] - [T = B]."""
+    rows it is [T = B+i] - [T = B].  So column (i|B) holds 1 on row {i}, 1
+    on row B+i when B is not empty, and -1 on row B when |B| >= 2."""
+    keys = subset_key_table(ground)
+    labels = ground.labels
     pairs = eta_pairs(ground)
-    rows = []
-    for t in p1_masks(ground):
-        row = []
-        for i, b in pairs:
-            if t.bit_count() == 1:
-                row.append(1 if t == (1 << i) else 0)
-            else:
-                row.append((1 if (b | (1 << i)) == t else 0) - (1 if b == t else 0))
-        rows.append(tuple(row))
+    grid = [[0] * len(pairs) for _ in range(ground.full_mask)]
+    for j, (i, b) in enumerate(pairs):
+        # the row of the subset T is T - 1 (p1_masks)
+        grid[(1 << i) - 1][j] = 1
+        if b:
+            grid[(b | 1 << i) - 1][j] = 1
+            if b & (b - 1):
+                grid[b - 1][j] = -1
     return IntMatrix(
-        tuple(rows),
-        tuple(ground.subset_key(t) for t in p1_masks(ground)),
-        tuple(ground.pair_key(i, b) for i, b in pairs),
+        tuple(map(tuple, grid)),
+        keys[1:],
+        tuple(f"{labels[i]}|{keys[b]}" for i, b in pairs),
     )
 
 
@@ -590,55 +605,79 @@ def is_totally_unimodular_small(
 def feasible_nonneg_solution(m: IntMatrix, b: RatVector):
     """Find x >= 0 with M x = b exactly, or return None if none exists.
 
-    Phase-I simplex with Bland's anti-cycling rule: artificial variables
-    start basic, their sum is driven to zero.  The tableau is integer over
-    one common denominator d, and every pivot is one _pivot call; b is
-    scaled by the lcm L of its denominators, so x is read as T[i][rhs] / (d L).
-    The last tableau row holds the reduced costs.
+    Phase-I simplex with Bland's anti-cycling rule, in revised form:
+    artificial variables start basic, their sum is driven to zero.  Rows of
+    M are negated where b is negative, and b is scaled by the lcm L of its
+    denominators.  No full tableau is kept.  The starting tableau's
+    artificial columns are the identity, so every later tableau is G times
+    it, where G holds the tableau's artificial columns and, in the cost
+    row, the common denominator d.  Only that block is kept: rows + 1
+    integer rows over d holding the artificial columns, the right-hand side
+    and one slot for the entering column, the cost row last.  A column j of
+    M prices as the sum of (w_i - d) a_ij over its nonzeros, w the cost
+    row's artificial part, and an artificial column i as w_i.  The entering
+    column, the block times a_j, goes into the slot, and every pivot is one
+    _pivot call on the block, so each integer and the pivot path are those
+    of the full tableau.  x is read as rhs_i / (d L).
     """
     rows, cols = m.shape
     if len(b) != rows:
         raise ValueError("right-hand side length does not match the matrix")
-    total = cols + rows
     scale = lcm(*(v.denominator for v in b.values))
-    tableau: list[list[int]] = []
-    for i, (row, v) in enumerate(zip(m.entries, b.values)):
-        rhs = v.numerator * (scale // v.denominator)
-        sign = -1 if rhs < 0 else 1
-        art = [0] * rows
-        art[i] = 1
-        tableau.append([sign * x for x in row] + art + [sign * rhs])
+    rhs = [v.numerator * (scale // v.denominator) for v in b.values]
+    # the nonzeros of each column of M as (row, entry)
+    signed = [row if v >= 0 else [-x for x in row] for row, v in zip(m.entries, rhs)]
+    columns = [[(i, x) for i, x in enumerate(col) if x] for col in zip(*signed)]
+    slot = rows + 1
+    block = [[0] * (rows + 2) for _ in range(rows + 1)]
+    for i, v in enumerate(rhs):
+        block[i][i] = 1
+        block[i][rows] = abs(v)
+    block[rows][rows] = -sum(map(abs, rhs))
     basis = [cols + i for i in range(rows)]
-    # reduced costs for minimizing the sum of artificials
-    tableau.append([
-        (1 if cols <= j < total else 0) - sum(tableau[i][j] for i in range(rows))
-        for j in range(total + 1)
-    ])
     d = 1
     while True:
-        enter = next((j for j in range(total) if tableau[rows][j] < 0), None)
-        if enter is None:
-            break
+        costs = [w - d for w in block[rows][:rows]]
+        # Bland's rule: the first column of M with a negative reduced cost
+        # (plain loops: sum() over a generator is slower on such short columns)
+        for enter, column in enumerate(columns):
+            reduced = 0
+            for i, x in column:
+                reduced += costs[i] * x
+            if reduced < 0:
+                for row in block[:rows]:
+                    entry = 0
+                    for i, x in column:
+                        entry += row[i] * x
+                    row[slot] = entry
+                block[rows][slot] = reduced
+                col = slot
+                break
+        else:
+            col = next((i for i in range(rows) if block[rows][i] < 0), None)
+            if col is None:
+                break
+            enter = cols + col
         leave = None
         for i in range(rows):
-            coef = tableau[i][enter]
+            coef = block[i][col]
             if coef > 0:
                 # the ratios T[i][rhs] / coef compared by cross-multiplying
                 if leave is None:
                     leave = i
                     continue
-                here = tableau[i][total] * tableau[leave][enter]
-                best = tableau[leave][total] * coef
+                here = block[i][rows] * block[leave][col]
+                best = block[leave][rows] * coef
                 if here < best or (here == best and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
             raise RuntimeError("phase-one objective unbounded; this cannot happen")
-        d = _pivot(tableau, leave, enter, d)
+        d = _pivot(block, leave, col, d)
         basis[leave] = enter
-    if tableau[rows][total] != 0:
+    if block[rows][rows] != 0:
         return None
     x = [0] * cols
     for i, var in enumerate(basis):
         if var < cols:
-            x[var] = Fraction(tableau[i][total], d * scale)
+            x[var] = Fraction(block[i][rows], d * scale)
     return RatVector(m.col_labels, tuple(x))

@@ -38,8 +38,8 @@ from imsetpoly.exactlin import (
     is_totally_unimodular_small,
     is_unimodular_full_row_rank,
 )
-from imsetpoly.setfam import GroundSet, eta_pairs, p1_masks, p2_masks
-from imsetpoly.verify import EnumerationBox, census_characteristic_set
+from imsetpoly.setfam import GroundSet, eta_pairs, p1_masks, p2_index, p2_masks
+from imsetpoly.verify import EnumerationBox, _family_lanes, census_characteristic_set
 
 G3 = GroundSet.of_size(3)
 G4 = GroundSet.of_size(4)
@@ -245,6 +245,47 @@ def test_matrix_validation_and_csv():
     assert csv.splitlines()[1] == '"x",1,0'
     sub = build_matrix_C(G3).submatrix((0, 2), (0, 2))
     assert sub.row_labels == ("a", "a,b") and sub.col_labels == ("a", "a,b")
+
+
+def test_matrix_refuses_a_non_integer_entry():
+    # int() would have read 1.5 as 1 and 7/2 as 3
+    with pytest.raises(ValueError, match="^entry 1.5 at row 'r', column 'a' is not an integer$"):
+        IntMatrix(((1.5, Fraction(7, 2)),), ("r",), ("a", "b"))
+    with pytest.raises(ValueError, match=r"^entry Fraction\(7, 2\) at row 's', column 'b' "):
+        IntMatrix(((1, 2), (3, Fraction(7, 2))), ("r", "s"), ("a", "b"))
+    with pytest.raises(ValueError, match="^entry '3' at row 'r', column 'a' "):
+        IntMatrix((("3",),), ("r",), ("a",))
+    # a bool is read as a plain int
+    m = IntMatrix(((True, 2),), ("r",), ("a", "b"))
+    assert m.entries == ((1, 2),) and {type(x) for x in m.entries[0]} == {int}
+    assert m.to_csv().splitlines()[1] == '"r",1,2'
+
+
+def definition_matrix_A(ground):
+    """Oracle: build_matrix_A's entries and labels from its definition, one
+    entry per row and pair."""
+    pairs = eta_pairs(ground)
+    rows = []
+    for t in p1_masks(ground):
+        row = []
+        for i, b in pairs:
+            if t.bit_count() == 1:
+                row.append(1 if t == (1 << i) else 0)
+            else:
+                row.append((1 if (b | (1 << i)) == t else 0) - (1 if b == t else 0))
+        rows.append(tuple(row))
+    return (
+        tuple(rows),
+        tuple(ground.subset_key(t) for t in p1_masks(ground)),
+        tuple(ground.pair_key(i, b) for i, b in pairs),
+    )
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_matrix_a_matches_its_definition(n):
+    ground = GroundSet.of_size(n)
+    a = build_matrix_A(ground)
+    assert (a.entries, a.row_labels, a.col_labels) == definition_matrix_A(ground)
 
 
 def test_e_column_labels():
@@ -731,3 +772,46 @@ def test_phase_one_solves_c_star_at_n5():
     point = tuple(max(Fraction(1), Fraction(m.bit_count(), 2)) for m in p2_masks(g5))
     u = u_from_characteristic(CharacteristicImset(g5, point))
     assert same_as_oracle(build_matrix_A(g5), build_b_u(u)) is not None
+
+
+# ---------------------------------------------------------------------------
+# a wide system: the Farkas certificate of a default-box bound
+
+
+def upper_bound_system(ground, s):
+    """The Farkas system of the default box's upper bound c(S) <= 2^(|S|-2)
+    over the compiled lanes sum_k a_k c_k >= r of the explicit c system
+    {kappa-specific, cluster-c}: y >= 0 with sum_j y_j a_j = -e_S and
+    sum_j y_j r_j - slack = -2^(|S|-2).  Its columns are the lanes, then
+    the slack; its rows are the coordinates, then r.  Returns the lanes, M
+    and b."""
+    lanes = _family_lanes(ground, "c", ("kappa-specific", "cluster-c"))[0]
+    k_s = p2_index(ground)[s]
+    coordinates = range(len(p2_masks(ground)))
+    m = labelled(
+        [[a.get(k, 0) for a, _r, _tag in lanes] + [0] for k in coordinates]
+        + [[r for _a, r, _tag in lanes] + [-1]]
+    )
+    b = [-int(k == k_s) for k in coordinates] + [-(2 ** (s.bit_count() - 2))]
+    return lanes, m, RatVector(m.row_labels, tuple(b))
+
+
+def check_upper_bound_certificate(ground, lanes, s, y):
+    """y re-checked as a certificate of c(S) <= 2^(|S|-2) from the lanes by
+    dot products alone: y >= 0, sum_j y_j a_j = -e_S and
+    sum_j y_j r_j >= -2^(|S|-2).  Returns the number of lanes it uses."""
+    assert len(y) == len(lanes) and all(v >= 0 for v in y)
+    k_s = p2_index(ground)[s]
+    for k in range(len(p2_masks(ground))):
+        assert sum(v * a.get(k, 0) for v, (a, _r, _tag) in zip(y, lanes)) == -int(k == k_s)
+    assert sum(v * r for v, (_a, r, _tag) in zip(y, lanes)) >= -(2 ** (s.bit_count() - 2))
+    return sum(v > 0 for v in y)
+
+
+def test_phase_one_certifies_an_n4_box_bound():
+    # c(N) <= 4 over the explicit c system: a system far wider than tall
+    lanes, m, b = upper_bound_system(G4, G4.full_mask)
+    assert m.shape == (12, len(lanes) + 1) and len(lanes) > 10 * 12
+    x = same_as_oracle(m, b)
+    assert x is not None
+    assert 1 <= check_upper_bound_certificate(G4, lanes, G4.full_mask, x.values[:-1]) <= 3
